@@ -12,34 +12,16 @@ import csv
 import sys
 
 from proxsplit import (
-    Identity,
-    SdpHadamard,
     StopRule,
     acceleration_gain,
     bqp_estimate,
-    bqp_separate_estimates,
+    bqp_protocol_params,
     build_prox_pair,
     gen_bqp,
     reference_solve,
     run_drs,
 )
-from proxsplit.tuning import GridSpec, SolutionPair, sdp_joint_search, sdp_separate_choices
-
-
-def parameter_table(inst, ref):
-    alpha_est, beta_est = bqp_separate_estimates(inst.a, inst.b, inst.n)
-    sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
-    alpha_opt, beta_opt = sdp_separate_choices(sol)
-    joint = sdp_joint_search(sol, GridSpec())
-    return sol, {
-        "identity": Identity(),
-        "est-alpha": SdpHadamard(alpha_est, 1.0, inst.shape),
-        "est-beta": SdpHadamard(1.0, beta_est, inst.shape),
-        "est-joint": bqp_estimate(inst.a, inst.b, inst.n),
-        "opt-alpha": SdpHadamard(alpha_opt, 1.0, inst.shape),
-        "opt-beta": SdpHadamard(1.0, beta_opt, inst.shape),
-        "opt-joint": SdpHadamard(joint[0], joint[1], inst.shape),
-    }
+from proxsplit.tuning import SolutionPair
 
 
 def main(argv=None):
@@ -61,7 +43,8 @@ def main(argv=None):
     print(f"reference: {ref.iterations} iterations, residual {ref.residual:.2e}, "
           f"converged={ref.converged}")
 
-    sol, params = parameter_table(inst, ref)
+    sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
+    params = bqp_protocol_params(inst.a, inst.b, inst.n, sol)
     rows = []
     base = None
     for name, param in params.items():

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from proxsplit import (
-    Identity,
     StopRule,
     acceleration_gain,
     build_prox_pair,
@@ -23,6 +22,7 @@ from proxsplit import (
     reference_solve,
     run_drs,
     sr_estimate,
+    sr_protocol_params,
 )
 from proxsplit.tuning import SolutionPair
 
@@ -48,12 +48,7 @@ def main(argv=None):
           f"converged={ref.converged}")
 
     sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
-    params = {
-        "identity": Identity(),
-        "est-joint": sr_estimate(inst.n, inst.k, inst.sigma, "joint"),
-        "est-alpha": sr_estimate(inst.n, inst.k, inst.sigma, "alpha"),
-        "est-beta": sr_estimate(inst.n, inst.k, inst.sigma, "beta"),
-    }
+    params = sr_protocol_params(inst.n, inst.k, inst.sigma)
     rows = []
     base = None
     for name, param in params.items():

@@ -35,8 +35,8 @@ RATECHECK_SCHEMA = "proxsplit-ratecheck v1"
 
 APPS = ("bqp", "sr")
 ALGOS = ("drs", "admm", "pd", "pdf")
-PARAM_MODES = ("identity", "scalar-opt", "diag-opt", "sdp-separate-alpha",
-               "sdp-separate-beta", "sdp-joint-opt", "estimate", "manual", "sweep")
+PARAM_MODES = ("identity", "scalar-opt", "sdp-separate-alpha", "sdp-separate-beta",
+               "sdp-joint-opt", "estimate", "manual")
 
 
 class ConfigError(ValueError):
@@ -96,9 +96,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive when set")
         if self.param_mode == "manual" and (self.alpha is None or self.beta is None):
             raise ConfigError("manual mode needs both --alpha and --beta")
-        if self.param_mode == "diag-opt":
-            raise ConfigError("diag-opt acts per coordinate and does not preserve the "
-                              "semidefinite cone; pick a block mode for these apps")
 
 
 _INT_KEYS = {"n", "k", "seed", "max_iters", "jobs", "ref_max_iters"}
@@ -238,8 +235,6 @@ def _prepare(cfg: ExperimentConfig):
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    if cfg.param_mode == "sweep":
-        raise ConfigError("param-mode sweep belongs to the sweep command")
     inst, pair, ref, ref_pair = _prepare(cfg)
     param = make_param(cfg, inst, ref_pair)
     stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
@@ -324,8 +319,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ratecheck(cfg: ExperimentConfig) -> int:
-    if cfg.param_mode == "sweep":
-        raise ConfigError("param-mode sweep belongs to the sweep command")
     inst, pair, ref, ref_pair = _prepare(cfg)
     param = make_param(cfg, inst, ref_pair)
     stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,

@@ -7,8 +7,6 @@ complex-Hermitian data are handled uniformly without embedding tricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -28,47 +26,13 @@ def frob_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _as_matrix(m) -> np.ndarray:
-    return np.asarray(getattr(m, "mat", m))
-
-
-@dataclass(frozen=True)
-class DenseHermitian:
-    """Validated Hermitian matrix container.
-
-    Construction rejects non-finite entries and symmetrizes, so the stored
-    matrix always equals its conjugate transpose; real input stays real.
-    """
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "mat", hermitian_part(m))
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.mat)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
-
-
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` up to roundoff.
     The input is symmetrized first; non-finite entries are rejected.
     """
-    m = _as_matrix(m)
+    m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("eig_hermitian: non-finite entries")
     return np.linalg.eigh(hermitian_part(m))
@@ -84,7 +48,7 @@ def project_psd(m) -> np.ndarray:
 
 def project_nsd(m) -> np.ndarray:
     """Frobenius-nearest negative semidefinite matrix."""
-    return -project_psd(-_as_matrix(m))
+    return -project_psd(-np.asarray(m))
 
 
 def toeplitz_map(u: np.ndarray) -> np.ndarray:
@@ -106,7 +70,7 @@ def toeplitz_adjoint(q) -> np.ndarray:
     Entry ``d`` collects the ``d``-th subdiagonal sum of ``q``; entries for
     ``d >= 1`` are doubled because they pair with two mirrored diagonals.
     """
-    q = _as_matrix(q)
+    q = np.asarray(q)
     n = q.shape[0]
     out = np.array([q.trace(offset=-d) for d in range(n)])
     out[1:] *= 2.0
@@ -122,7 +86,7 @@ def toeplitz_gram_diag(n: int) -> np.ndarray:
 
 def project_toeplitz(q) -> np.ndarray:
     """Orthogonal projection onto Hermitian Toeplitz matrices (per-diagonal averaging)."""
-    q = _as_matrix(q)
+    q = np.asarray(q)
     u = toeplitz_adjoint(q) / toeplitz_gram_diag(q.shape[0])
     if np.iscomplexobj(u):
         # the diagonal mean of a Hermitian matrix is real up to roundoff

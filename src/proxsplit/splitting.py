@@ -1,10 +1,11 @@
 """Splitting solvers over a proximal pair and a step parameter.
 
-Four algorithmically equivalent drivers are provided: a two-point
+Four algorithmically equivalent forms are provided: a two-point
 Douglas-Rachford recursion on the governing sequence, an ADMM form, a
 primal-dual form, and a primal-dual variant with explicit feasibility
-iterate. Under matched initializations they generate the same governing
-sequence up to roundoff; all four report the same trace columns.
+iterate. Each is a short step generator over one shared run loop, which owns
+guarding, residuals, the trace and stopping. Under matched initializations
+they generate the same governing sequence up to roundoff.
 """
 
 from __future__ import annotations
@@ -103,19 +104,55 @@ def optimality_residual(state: SplitState) -> float:
     return frob_norm(state.x - state.z)
 
 
-def _guard(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError("iterate turned non-finite")
-        if np.linalg.norm(a) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g}")
+def _run_loop(steps, psi: np.ndarray, stop: StopRule,
+              psi_hook) -> tuple[SplitState, ConvergenceTrace]:
+    """Iteration loop shared by every form, started at governing iterate ``psi``.
+
+    ``steps`` yields ``(x, z, lam, psi)`` per iteration: the primal iterate, the
+    resolvent output and dual iterate paired with it, and the next governing
+    iterate. Guarding, residuals, trace, hook and stopping live here.
+    """
+    psi_first = psi_prev = psi
+    trace = ConvergenceTrace(mse=None if stop.reference is None else [])
+    for k in range(stop.max_iters):
+        t0 = time.perf_counter()
+        x, z, lam, psi = next(steps)
+        for a in (x, psi):
+            if not np.all(np.isfinite(a)):
+                raise DivergenceError("iterate turned non-finite")
+            if np.linalg.norm(a) > DIVERGENCE_LIMIT:
+                raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g}")
+        fp_sq = float(np.real(np.vdot(psi - psi_prev, psi - psi_prev)))
+        opt_res = frob_norm(x - z)
+        mse_val = None
+        if trace.mse is not None:
+            d = x - stop.reference
+            mse_val = float(np.real(np.vdot(d, d))) / d.size
+            trace.mse.append(mse_val)
+        trace.fp_residual_sq.append(fp_sq)
+        trace.opt_residual.append(opt_res)
+        trace.elapsed_ms.append((time.perf_counter() - t0) * 1e3)
+        if psi_hook is not None:
+            psi_hook(k + 1, psi)
+        reason = stop.reason(opt_res, mse_val)
+        if reason is not None:
+            trace.converged = True
+            trace.stop_reason = reason
+            break
+        psi_prev = psi
+    trace.anchor_sq = float(np.real(np.vdot(psi - psi_first, psi - psi_first)))
+    return SplitState(x=x, z=z, lam=lam, psi=psi, k=trace.iterations), trace
 
 
-def _mse_or_none(x: np.ndarray, reference: np.ndarray | None) -> float | None:
-    if reference is None:
-        return None
-    d = x - reference
-    return float(np.real(np.vdot(d, d))) / d.size
+def _drs_update(pair: ProxPair, param: OperatorParam, psi: np.ndarray):
+    """One governing-sequence update (g-prox, reflect, f-prox, average).
+
+    Returns ``(z, S z, x, psi_next)``.
+    """
+    z = pair.g_prox(param, psi)
+    sz = param.apply(z)
+    x = pair.f_prox(param, 2.0 * sz - psi)
+    return z, sz, x, param.apply(x) + psi - sz
 
 
 def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
@@ -125,112 +162,51 @@ def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRu
     Each iteration evaluates the g-prox at the current governing iterate,
     reflects, evaluates the f-prox and averages back.
     """
+
+    def steps(psi):
+        while True:
+            z, sz, x, psi_next = _drs_update(pair, param, psi)
+            yield x, z, param.adjoint(psi - sz), psi_next
+            psi = psi_next
+
     psi = np.array(psi0, copy=True)
-    psi_first = psi.copy()
-    trace = ConvergenceTrace(mse=None if stop.reference is None else [])
-    x = z = lam = psi
-    for k in range(stop.max_iters):
-        t0 = time.perf_counter()
-        z = pair.g_prox(param, psi)
-        sz = param.apply(z)
-        x = pair.f_prox(param, 2.0 * sz - psi)
-        lam = param.adjoint(psi - sz)
-        psi_next = param.apply(x) + psi - sz
-        _guard(x, psi_next)
-        fp_sq = float(np.real(np.vdot(psi_next - psi, psi_next - psi)))
-        opt_res = frob_norm(x - z)
-        mse_val = _mse_or_none(x, stop.reference)
-        psi = psi_next
-        trace.fp_residual_sq.append(fp_sq)
-        trace.opt_residual.append(opt_res)
-        if trace.mse is not None:
-            trace.mse.append(mse_val)
-        trace.elapsed_ms.append((time.perf_counter() - t0) * 1e3)
-        if psi_hook is not None:
-            psi_hook(k + 1, psi)
-        reason = stop.reason(opt_res, mse_val)
-        if reason is not None:
-            trace.converged = True
-            trace.stop_reason = reason
-            break
-    trace.anchor_sq = float(np.real(np.vdot(psi - psi_first, psi - psi_first)))
-    return SplitState(x=x, z=z, lam=lam, psi=psi, k=trace.iterations), trace
+    return _run_loop(steps(psi), psi, stop, psi_hook)
 
 
 def run_admm(pair: ProxPair, param: OperatorParam, z0: np.ndarray, lam0: np.ndarray,
              stop: StopRule, psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
     """Alternating-direction form with scaled dual updates."""
+
+    def steps(z, lam):
+        while True:
+            x = pair.f_prox(param, param.apply(z) - param.adjoint_inverse(lam))
+            psi = param.apply(x) + param.adjoint_inverse(lam)
+            z_next = pair.g_prox(param, psi)
+            lam_next = lam + param.adjoint(param.apply(x - z_next))
+            yield x, z, lam, psi
+            z, lam = z_next, lam_next
+
     z = np.array(z0, copy=True)
     lam = np.array(lam0, copy=True)
-    psi_prev = param.apply(z) + param.adjoint_inverse(lam)
-    psi_first = psi_prev.copy()
-    trace = ConvergenceTrace(mse=None if stop.reference is None else [])
-    x = psi = psi_prev
-    z_state, lam_state = z, lam
-    for k in range(stop.max_iters):
-        t0 = time.perf_counter()
-        x = pair.f_prox(param, param.apply(z) - param.adjoint_inverse(lam))
-        psi = param.apply(x) + param.adjoint_inverse(lam)
-        z_next = pair.g_prox(param, psi)
-        lam_next = lam + param.adjoint(param.apply(x - z_next))
-        _guard(x, psi)
-        fp_sq = float(np.real(np.vdot(psi - psi_prev, psi - psi_prev)))
-        opt_res = frob_norm(x - z)
-        mse_val = _mse_or_none(x, stop.reference)
-        z_state, lam_state = z, lam
-        z, lam, psi_prev = z_next, lam_next, psi
-        trace.fp_residual_sq.append(fp_sq)
-        trace.opt_residual.append(opt_res)
-        if trace.mse is not None:
-            trace.mse.append(mse_val)
-        trace.elapsed_ms.append((time.perf_counter() - t0) * 1e3)
-        if psi_hook is not None:
-            psi_hook(k + 1, psi)
-        reason = stop.reason(opt_res, mse_val)
-        if reason is not None:
-            trace.converged = True
-            trace.stop_reason = reason
-            break
-    trace.anchor_sq = float(np.real(np.vdot(psi - psi_first, psi - psi_first)))
-    return SplitState(x=x, z=z_state, lam=lam_state, psi=psi, k=trace.iterations), trace
+    return _run_loop(steps(z, lam), param.apply(z) + param.adjoint_inverse(lam), stop, psi_hook)
 
 
 def run_pdf(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, lam0: np.ndarray,
             stop: StopRule, psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
     """Primal-dual form carrying the governing iterate explicitly."""
+
+    def steps(psi, lam, z_prev):
+        while True:
+            x = pair.f_prox(param, psi - 2.0 * param.adjoint_inverse(lam))
+            psi = param.apply(x) + param.adjoint_inverse(lam)
+            z = pair.g_prox(param, psi)
+            lam_next = param.adjoint(psi - param.apply(z))
+            yield x, z_prev, lam, psi
+            lam, z_prev = lam_next, z
+
     psi = np.array(psi0, copy=True)
     lam = np.array(lam0, copy=True)
-    psi_first = psi.copy()
-    z_prev = pair.g_prox(param, psi)
-    trace = ConvergenceTrace(mse=None if stop.reference is None else [])
-    x = psi
-    z_state, lam_state = z_prev, lam
-    for k in range(stop.max_iters):
-        t0 = time.perf_counter()
-        x = pair.f_prox(param, psi - 2.0 * param.adjoint_inverse(lam))
-        psi_next = param.apply(x) + param.adjoint_inverse(lam)
-        z = pair.g_prox(param, psi_next)
-        lam_next = param.adjoint(psi_next - param.apply(z))
-        _guard(x, psi_next)
-        fp_sq = float(np.real(np.vdot(psi_next - psi, psi_next - psi)))
-        opt_res = frob_norm(x - z_prev)
-        mse_val = _mse_or_none(x, stop.reference)
-        z_state, lam_state = z_prev, lam
-        psi, lam, z_prev = psi_next, lam_next, z
-        trace.fp_residual_sq.append(fp_sq)
-        trace.opt_residual.append(opt_res)
-        if trace.mse is not None:
-            trace.mse.append(mse_val)
-        trace.elapsed_ms.append((time.perf_counter() - t0) * 1e3)
-        if psi_hook is not None:
-            psi_hook(k + 1, psi)
-        reason = stop.reason(opt_res, mse_val)
-        if reason is not None:
-            trace.converged = True
-            trace.stop_reason = reason
-            break
-    trace.anchor_sq = float(np.real(np.vdot(psi - psi_first, psi - psi_first)))
-    return SplitState(x=x, z=z_state, lam=lam_state, psi=psi, k=trace.iterations), trace
+    return _run_loop(steps(psi, lam, pair.g_prox(param, psi)), psi, stop, psi_hook)
 
 
 def run_pd(pair: ProxPair, param: OperatorParam, x0: np.ndarray, lam_prev: np.ndarray,
@@ -241,41 +217,20 @@ def run_pd(pair: ProxPair, param: OperatorParam, x0: np.ndarray, lam_prev: np.nd
     decomposition, so only the g-prox itself is required. The stopping
     residual equals the governing-sequence residual of the other forms.
     """
-    x = np.array(x0, copy=True)
-    lm, lam = np.array(lam_prev, copy=True), np.array(lam0, copy=True)
-    psi_prev = param.apply(x) + param.adjoint_inverse(lm)
-    psi_first = psi_prev.copy()
-    z_prev = pair.g_prox(param, psi_prev)
-    trace = ConvergenceTrace(mse=None if stop.reference is None else [])
-    psi = psi_prev
-    z_state, lam_state = z_prev, lam
-    for k in range(stop.max_iters):
-        t0 = time.perf_counter()
-        x_next = pair.f_prox(param, param.apply(x) + param.adjoint_inverse(lm - 2.0 * lam))
-        psi = param.apply(x_next) + param.adjoint_inverse(lam)
-        z = pair.g_prox(param, psi)
-        lam_next = param.adjoint(psi - param.apply(z))
-        _guard(x_next, psi)
-        fp_sq = float(np.real(np.vdot(psi - psi_prev, psi - psi_prev)))
-        opt_res = frob_norm(x_next - z_prev)
-        mse_val = _mse_or_none(x_next, stop.reference)
-        z_state, lam_state = z_prev, lam
-        x, lm, lam = x_next, lam, lam_next
-        psi_prev, z_prev = psi, z
-        trace.fp_residual_sq.append(fp_sq)
-        trace.opt_residual.append(opt_res)
-        if trace.mse is not None:
-            trace.mse.append(mse_val)
-        trace.elapsed_ms.append((time.perf_counter() - t0) * 1e3)
-        if psi_hook is not None:
-            psi_hook(k + 1, psi)
-        reason = stop.reason(opt_res, mse_val)
-        if reason is not None:
-            trace.converged = True
-            trace.stop_reason = reason
-            break
-    trace.anchor_sq = float(np.real(np.vdot(psi - psi_first, psi - psi_first)))
-    return SplitState(x=x, z=z_state, lam=lam_state, psi=psi, k=trace.iterations), trace
+
+    def steps(x, lm, lam, z_prev):
+        while True:
+            x = pair.f_prox(param, param.apply(x) + param.adjoint_inverse(lm - 2.0 * lam))
+            psi = param.apply(x) + param.adjoint_inverse(lam)
+            z = pair.g_prox(param, psi)
+            lam_next = param.adjoint(psi - param.apply(z))
+            yield x, z_prev, lam, psi
+            lm, lam, z_prev = lam, lam_next, z
+
+    # x0 and lam_prev are never returned, so only lam0 needs a private copy
+    lam = np.array(lam0, copy=True)
+    psi = param.apply(x0) + param.adjoint_inverse(lam_prev)
+    return _run_loop(steps(x0, lam_prev, lam, pair.g_prox(param, psi)), psi, stop, psi_hook)
 
 
 def matched_admm_init(pair: ProxPair, param: OperatorParam,
@@ -306,10 +261,7 @@ def drs_fixed_point_map(pair: ProxPair, param: OperatorParam):
     """One governing-sequence update as a plain callable (an averaged map)."""
 
     def step(psi: np.ndarray) -> np.ndarray:
-        z = pair.g_prox(param, psi)
-        sz = param.apply(z)
-        x = pair.f_prox(param, 2.0 * sz - psi)
-        return param.apply(x) + psi - sz
+        return _drs_update(pair, param, psi)[3]
 
     return step
 
@@ -348,10 +300,6 @@ class RateBound:
             raise ValueError("cocoercivity level must lie in (0, 1]")
         if self.anchor_sq < 0.0:
             raise ValueError("anchor must be nonnegative")
-
-    @property
-    def a(self) -> float:
-        return self.l_coco / (2.0 - self.l_coco)
 
     def factor(self, k: int) -> float:
         return sharp_rate_factor(self.l_coco, k)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .linalg import frob_norm
-from .params import BlockShape, OperatorParam, SdpHadamard
+from .params import BlockShape, Identity, OperatorParam, SdpHadamard
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,6 @@ def acceleration_gain(param: OperatorParam, pair: SolutionPair) -> GainReport:
     return GainReport(num / den, num, den)
 
 
-def translate_dual(grad_at_solution: np.ndarray) -> np.ndarray:
-    """Dual solution of the splitting from the objective gradient at the primal solution."""
-    return -np.asarray(grad_at_solution)
-
-
 def bqp_regime(a: np.ndarray, b: np.ndarray, n: int) -> str:
     """Objective-energy regime of a Boolean least-squares instance.
 
@@ -267,3 +262,35 @@ def sr_estimate(n: int, k: int, sigma: float, mode: str = "joint") -> SdpHadamar
     if mode == "beta":
         return SdpHadamard(1.0, math.sqrt(2.0 * n / 3.0), shape)
     raise ValueError(f"unknown estimate mode: {mode!r}")
+
+
+def bqp_protocol_params(a: np.ndarray, b: np.ndarray, n: int,
+                        sol: SolutionPair) -> dict[str, OperatorParam]:
+    """Rows of the Boolean least-squares iteration protocol, in table order.
+
+    The identity, the a-priori estimates and the optima scored against the
+    reference solution pair ``sol``.
+    """
+    shape = BlockShape(n, 1)
+    alpha_est, beta_est = bqp_separate_estimates(a, b, n)
+    alpha_opt, beta_opt = sdp_separate_choices(sol)
+    alpha_joint, beta_joint = sdp_joint_search(sol)
+    return {
+        "identity": Identity(),
+        "est-alpha": SdpHadamard(alpha_est, 1.0, shape),
+        "est-beta": SdpHadamard(1.0, beta_est, shape),
+        "est-joint": bqp_estimate(a, b, n),
+        "opt-alpha": SdpHadamard(alpha_opt, 1.0, shape),
+        "opt-beta": SdpHadamard(1.0, beta_opt, shape),
+        "opt-joint": SdpHadamard(alpha_joint, beta_joint, shape),
+    }
+
+
+def sr_protocol_params(n: int, k: int, sigma: float) -> dict[str, OperatorParam]:
+    """Rows of the spectral super-resolution iteration protocol, in table order."""
+    return {
+        "identity": Identity(),
+        "est-joint": sr_estimate(n, k, sigma, "joint"),
+        "est-alpha": sr_estimate(n, k, sigma, "alpha"),
+        "est-beta": sr_estimate(n, k, sigma, "beta"),
+    }

@@ -9,21 +9,18 @@ import numpy as np
 import pytest
 
 from proxsplit import (
-    Identity,
-    SdpHadamard,
     StopRule,
     bqp_estimate,
-    bqp_separate_estimates,
+    bqp_protocol_params,
     build_prox_pair,
     gen_bqp,
     gen_sr,
     reference_solve,
     run_drs,
-    sdp_joint_search,
-    sdp_separate_choices,
     sr_estimate,
+    sr_protocol_params,
 )
-from proxsplit.tuning import GridSpec, SolutionPair
+from proxsplit.tuning import SolutionPair
 
 BQP_SEED = 0
 SR_SEED = 2
@@ -48,24 +45,10 @@ def bqp_setup():
 def bqp_protocol(bqp_setup):
     """Iteration-count protocol: identity vs estimated vs optimal parameters."""
     inst, pair, ref = bqp_setup
-    alpha_est, beta_est = bqp_separate_estimates(inst.a, inst.b, inst.n)
     sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
-    alpha_opt, beta_opt = sdp_separate_choices(sol)
-    joint_opt = sdp_joint_search(sol, GridSpec())
-    params = {
-        "identity": Identity(),
-        "est-alpha": SdpHadamard(alpha_est, 1.0, inst.shape),
-        "est-beta": SdpHadamard(1.0, beta_est, inst.shape),
-        "est-joint": bqp_estimate(inst.a, inst.b, inst.n),
-        "opt-alpha": SdpHadamard(alpha_opt, 1.0, inst.shape),
-        "opt-beta": SdpHadamard(1.0, beta_opt, inst.shape),
-        "opt-joint": SdpHadamard(joint_opt[0], joint_opt[1], inst.shape),
-    }
-    runs = {}
-    for name, param in params.items():
-        _, trace = run_drs(pair, param, pair.zeros(), mse_stop(ref.x_ref, 100_000))
-        runs[name] = trace
-    return runs
+    params = bqp_protocol_params(inst.a, inst.b, inst.n, sol)
+    return {name: run_drs(pair, param, pair.zeros(), mse_stop(ref.x_ref, 100_000))[1]
+            for name, param in params.items()}
 
 
 @pytest.fixture(scope="session")
@@ -80,14 +63,6 @@ def sr_setup():
 @pytest.fixture(scope="session")
 def sr_protocol(sr_setup):
     inst, pair, ref = sr_setup
-    params = {
-        "identity": Identity(),
-        "est-joint": sr_estimate(inst.n, inst.k, inst.sigma, "joint"),
-        "est-alpha": sr_estimate(inst.n, inst.k, inst.sigma, "alpha"),
-        "est-beta": sr_estimate(inst.n, inst.k, inst.sigma, "beta"),
-    }
-    runs = {}
-    for name, param in params.items():
-        _, trace = run_drs(pair, param, pair.zeros(), mse_stop(ref.x_ref, 150_000))
-        runs[name] = trace
-    return runs
+    params = sr_protocol_params(inst.n, inst.k, inst.sigma)
+    return {name: run_drs(pair, param, pair.zeros(), mse_stop(ref.x_ref, 150_000))[1]
+            for name, param in params.items()}

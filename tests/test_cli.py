@@ -195,14 +195,22 @@ def test_run_on_saved_instance(tmp_path):
 
 def test_config_errors_exit_one(tmp_path, capsys):
     out = str(tmp_path / "o")
-    assert main(["run", *BQP_SMALL, "--param-mode", "diag-opt", "--out", out]) == 1
-    assert "cone" in capsys.readouterr().err
+    # modes that are not runnable are usage errors: argparse exits with 2
+    for mode in ("diag-opt", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *BQP_SMALL, "--param-mode", mode, "--out", out])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
     assert main(["run", *BQP_SMALL, "--param-mode", "manual",
                  "--alpha", "2", "--out", out]) == 1
     assert main(["sweep", *BQP_SMALL, "--out", out]) == 1
     assert main(["sweep", *BQP_SMALL, "--alpha-grid", "0:5:3", "--out", out]) == 1
     assert main(["run", *BQP_SMALL, "--max-iters", "-3", "--out", out]) == 1
-    assert main(["run", *BQP_SMALL, "--param-mode", "sweep", "--out", out]) == 1
+    # from a config file the same value is a configuration error
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("param_mode = sweep\n")
+    assert main(["run", *BQP_SMALL, "--config", str(cfg), "--out", out]) == 1
+    assert "param-mode" in capsys.readouterr().err
 
 
 def test_hitting_the_cap_exits_two(tmp_path):

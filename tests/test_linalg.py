@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxsplit.linalg import (
-    DenseHermitian,
     eig_hermitian,
     frob_inner,
     frob_norm,
@@ -167,18 +166,6 @@ def test_gaussian_sample_is_seed_deterministic():
     assert not np.array_equal(a, c)
     assert a.shape == (20, 10)
     assert np.std(gaussian_sample(400, 400, 2.0, 1)) == pytest.approx(2.0, rel=0.05)
-
-
-def test_dense_hermitian_validates_and_symmetrizes():
-    m = RNG.standard_normal((4, 4))
-    h = DenseHermitian(m)
-    np.testing.assert_allclose(h.mat, h.mat.T)
-    assert h.n == 4
-    assert h.is_real
-    with pytest.raises(ValueError):
-        DenseHermitian(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        DenseHermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_random_hermitian_field_and_symmetry():

@@ -1,4 +1,5 @@
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,11 +35,20 @@ RNG = np.random.default_rng(55)
 def small_sdp_pair(n, seed):
     rng = np.random.default_rng(seed)
     g = random_hermitian(n + 1, rng, scale=0.4)
-    from functools import partial
-
     return ProxPair(f_prox=partial(prox_linear_diag1, g),
                     g_prox=prox_psd_indicator, g_f=g,
                     constraint="diag-ones", dim=n + 1, is_complex=False)
+
+
+def matched_forms(pair, param, psi0):
+    """Each form as a ``run(stop, psi_hook=None)`` callable, started to match ``psi0``."""
+    z0, lam0 = matched_admm_init(pair, param, psi0)
+    psi_f, lam_f = matched_pdf_init(pair, param, psi0)
+    x0, lam_prev, lam_pd = matched_pd_init(pair, param, psi0)
+    return {"drs": partial(run_drs, pair, param, psi0),
+            "admm": partial(run_admm, pair, param, z0, lam0),
+            "pdf": partial(run_pdf, pair, param, psi_f, lam_f),
+            "pd": partial(run_pd, pair, param, x0, lam_prev, lam_pd)}
 
 
 def collect_psis(runner, *args, iters=20):
@@ -129,19 +139,31 @@ def test_four_algorithms_share_governing_sequence():
     pair = small_sdp_pair(5, seed=7)
     param = SdpHadamard(0.5, 2.0, BlockShape(5, 1))
     psi0 = random_hermitian(6, np.random.default_rng(3))
-
-    psis_drs = collect_psis(run_drs, pair, param, psi0)
-    z0, lam0 = matched_admm_init(pair, param, psi0)
-    psis_admm = collect_psis(run_admm, pair, param, z0, lam0)
-    psi_f, lam_f = matched_pdf_init(pair, param, psi0)
-    psis_pdf = collect_psis(run_pdf, pair, param, psi_f, lam_f)
-    x0, lam_prev, lam_pd = matched_pd_init(pair, param, psi0)
-    psis_pd = collect_psis(run_pd, pair, param, x0, lam_prev, lam_pd)
-
-    for other in (psis_admm, psis_pdf, psis_pd):
-        assert len(other) == len(psis_drs)
-        for a, b in zip(psis_drs, other):
+    psis = {name: collect_psis(run) for name, run in matched_forms(pair, param, psi0).items()}
+    for name in ("admm", "pdf", "pd"):
+        assert len(psis[name]) == len(psis["drs"])
+        for a, b in zip(psis["drs"], psis[name]):
             assert frob_norm(a - b) < 1e-10
+
+
+def test_four_algorithms_share_terminal_state():
+    # the forms pair different iterates in SplitState and in the stopping
+    # residual, so check the reported terminal state, not only the sequence
+    pair = small_sdp_pair(6, seed=1)
+    param = SdpHadamard(0.8, 1.3, BlockShape(6, 1))
+    runs = {name: run(StopRule(max_iters=5000, opt_eps=1e-9))
+            for name, run in matched_forms(pair, param, pair.zeros()).items()}
+    drs_state, drs_trace = runs["drs"]
+    assert drs_trace.stop_reason == "opt_eps"
+    for name, (state, trace) in runs.items():
+        assert trace.iterations == drs_trace.iterations, name
+        assert trace.stop_reason == drs_trace.stop_reason, name
+        for attr in ("x", "z", "lam", "psi"):
+            np.testing.assert_allclose(getattr(state, attr), getattr(drs_state, attr),
+                                       rtol=0, atol=1e-10, err_msg=f"{name}.{attr}")
+        np.testing.assert_allclose(
+            state.psi, param.apply(state.x) + param.adjoint_inverse(state.lam),
+            rtol=0, atol=1e-10, err_msg=name)
 
 
 def test_drs_fixed_point_map_matches_runner():
@@ -149,17 +171,25 @@ def test_drs_fixed_point_map_matches_runner():
     param = Identity()
     step = drs_fixed_point_map(pair, param)
     psi0 = random_hermitian(5, np.random.default_rng(9))
-    manual = step(step(psi0))
+    psi1 = step(psi0)
+    manual = step(psi1)
     psis = collect_psis(run_drs, pair, param, psi0, iters=2)
     assert frob_norm(manual - psis[-1]) < 1e-12
+    # the trace measures each step and the total drift from the start
+    _, trace = run_drs(pair, param, psi0, StopRule(max_iters=2, opt_eps=None))
+    np.testing.assert_allclose(
+        trace.fp_residual_sq, [frob_norm(psi1 - psi0) ** 2, frob_norm(manual - psi1) ** 2],
+        rtol=1e-12)
+    assert trace.anchor_sq == pytest.approx(frob_norm(manual - psi0) ** 2, rel=1e-12)
 
 
-def test_divergent_map_raises():
+@pytest.mark.parametrize("form", ["drs", "admm", "pdf", "pd"])
+def test_divergent_map_raises(form):
     pair = ProxPair(f_prox=lambda p, v: 3.0 * v, g_prox=lambda p, v: 3.0 * v,
                     constraint="none", dim=3, is_complex=False)
-    psi0 = np.eye(3)
+    run = matched_forms(pair, Identity(), np.eye(3))[form]
     with pytest.raises(DivergenceError):
-        run_drs(pair, Identity(), psi0, StopRule(max_iters=1000, opt_eps=None))
+        run(StopRule(max_iters=1000, opt_eps=None))
 
 
 def test_repeated_runs_are_bitwise_deterministic():

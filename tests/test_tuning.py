@@ -28,10 +28,7 @@ from proxsplit.tuning import (
     sdp_joint_search,
     sdp_separate_choices,
     sr_estimate,
-    translate_dual,
 )
-
-RNG = np.random.default_rng(2718)
 
 
 def random_pair(n=5, seed=0, complex_field=False):
@@ -224,11 +221,6 @@ def test_acceleration_gain_zero_identity_start_raises():
     pair = SolutionPair(x, -x)
     with pytest.raises(ValueError):
         acceleration_gain(Scalar(2.0), pair)
-
-
-def test_translate_dual_negates_gradient():
-    g = RNG.standard_normal((4, 4))
-    assert np.array_equal(translate_dual(g), -g)
 
 
 def test_bqp_regime_small_and_large():
