@@ -43,6 +43,10 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+class UnconvergedReference(RuntimeError):
+    """The reference solve hit its iteration cap, so no result can be measured against it."""
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved settings of one driver invocation."""
@@ -230,6 +234,10 @@ def _prepare(cfg: ExperimentConfig):
     pair = build_prox_pair(inst)
     ref = reference_solve(pair, estimate_param(inst), opt_eps=cfg.ref_eps,
                           max_iters=cfg.ref_max_iters)
+    if not ref.converged:
+        raise UnconvergedReference(
+            f"reference did not converge: residual {ref.residual:.3g} > ref_eps "
+            f"{cfg.ref_eps:g} after {ref.iterations} iterations (raise --ref-max-iters)")
     ref_pair = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
     return inst, pair, ref, ref_pair
 
@@ -406,6 +414,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnconvergedReference as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -118,9 +118,10 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
         t0 = time.perf_counter()
         x, z, lam, psi = next(steps)
         for a in (x, psi):
-            if not np.all(np.isfinite(a)):
-                raise DivergenceError("iterate turned non-finite")
-            if np.linalg.norm(a) > DIVERGENCE_LIMIT:
+            # one pass per array: a NaN or infinite entry makes the norm fail too
+            if not np.linalg.norm(a) <= DIVERGENCE_LIMIT:
+                if not np.all(np.isfinite(a)):
+                    raise DivergenceError("iterate turned non-finite")
                 raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g}")
         fp_sq = float(np.real(np.vdot(psi - psi_prev, psi - psi_prev)))
         opt_res = frob_norm(x - z)

@@ -213,6 +213,16 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "param-mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "ratecheck"])
+def test_unconverged_reference_exits_two(tmp_path, capsys, command):
+    out = tmp_path / command
+    extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
+    code = main([command, *BQP_SMALL, "--ref-max-iters", "3", *extra, "--out", str(out)])
+    assert code == 2
+    assert "reference did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hitting_the_cap_exits_two(tmp_path):
     out = tmp_path / "capped"
     code = main(["run", *BQP_SMALL, "--param-mode", "identity",

@@ -1,7 +1,10 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proxsplit import linalg
 from proxsplit.linalg import (
     eig_hermitian,
     frob_inner,
@@ -81,6 +84,76 @@ def test_project_psd_idempotent():
     np.testing.assert_allclose(project_psd(p), p, atol=1e-10)
 
 
+def psd_oracle(h):
+    """Projection from the full eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+def spectrum_case(kind, n, complex_field, seed):
+    """Hermitian test input whose spectrum has the named shape, on a random scale."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex if complex_field else float)
+    if kind in ("psd-exact-zeros", "mixed-exact-zeros"):
+        # zero rows and columns give eigenvalues that are exactly zero
+        k = int(rng.integers(0, n + 1))
+        h = np.zeros((n, n), dtype=complex if complex_field else float)
+        h[:k, :k] = spectrum_case("positive" if kind == "psd-exact-zeros" else "mixed",
+                                  k, complex_field, seed + 1) if k else 0.0
+        perm = rng.permutation(n)
+        return h[np.ix_(perm, perm)]
+    g = rng.standard_normal((n, n))
+    if complex_field:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    w = rng.uniform(0.01, 1.0, n)
+    if kind == "negative":
+        w = -w
+    elif kind == "mixed":
+        w = w * rng.choice([-1.0, 1.0], n)
+    return hermitian_part((q * (scale * w)) @ q.conj().T)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("kind", ["negative", "positive", "mixed", "zero",
+                                  "psd-exact-zeros", "mixed-exact-zeros"])
+def test_project_psd_matches_full_eigh_projection(kind, complex_field):
+    for n in range(1, 61):
+        h = spectrum_case(kind, n, complex_field, seed=1000 * n + 7)
+        p = project_psd(h)
+        assert p.shape == h.shape and p.dtype == h.dtype
+        tol = 1e-12 * np.linalg.norm(h)
+        assert np.linalg.norm(p - psd_oracle(h)) <= tol, (kind, n)
+        np.testing.assert_array_equal(p, p.conj().T)
+        assert np.linalg.eigvalsh(p)[0] >= -tol, (kind, n)
+
+
+def test_project_psd_symmetrizes_nonhermitian_input():
+    for n in (1, 2, 9, 40):
+        a = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+        p = project_psd(a)
+        assert np.linalg.norm(p - psd_oracle(hermitian_part(a))) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_psd_rejects_nonfinite_and_nonsquare(bad):
+    m = rand_hermitian(4)
+    m[1, 2] = bad
+    with pytest.raises(ValueError):
+        project_psd(m)
+    with pytest.raises(ValueError):
+        project_psd(np.ones((2, 3)))
+
+
+def test_lapack_routines_are_gil_releasing_ctypes_functions():
+    # CFUNCTYPE calls drop the GIL; PYFUNCTYPE (or an f2py wrapper) would hold it
+    for fn in (linalg._DSYEVR, linalg._ZHEEVR):
+        assert isinstance(fn, ctypes._CFuncPtr)
+        assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
 def test_project_nsd_mirrors_psd():
     a = rand_hermitian(6, complex_field=True)
     np.testing.assert_allclose(project_nsd(a), -project_psd(-a), atol=1e-14)
@@ -120,6 +193,26 @@ def test_toeplitz_adjoint_identity(n, seed):
     lhs = frob_inner(toeplitz_map(u), q)
     rhs = np.real(np.vdot(u, toeplitz_adjoint(q)))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def toeplitz_adjoint_loop(q):
+    """Per-diagonal trace sums, the definition ``toeplitz_adjoint`` vectorizes."""
+    out = np.array([q.trace(offset=-d) for d in range(q.shape[0])])
+    out[1:] *= 2.0
+    return out
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_toeplitz_adjoint_matches_diagonal_loop(complex_field):
+    for n in range(1, 61):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            q = rng.standard_normal((n, n))
+            if complex_field:
+                q = q + 1j * rng.standard_normal((n, n))
+            got = toeplitz_adjoint(q)
+            assert np.iscomplexobj(got) == complex_field
+            np.testing.assert_allclose(got, toeplitz_adjoint_loop(q), rtol=0, atol=1e-12)
 
 
 def test_toeplitz_gram_diag_small_case():

@@ -188,8 +188,17 @@ def test_divergent_map_raises(form):
     pair = ProxPair(f_prox=lambda p, v: 3.0 * v, g_prox=lambda p, v: 3.0 * v,
                     constraint="none", dim=3, is_complex=False)
     run = matched_forms(pair, Identity(), np.eye(3))[form]
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="exceeded"):
         run(StopRule(max_iters=1000, opt_eps=None))
+
+
+@pytest.mark.parametrize("form", ["drs", "admm", "pdf", "pd"])
+def test_nonfinite_prox_raises(form):
+    pair = ProxPair(f_prox=lambda p, v: np.full_like(v, np.nan), g_prox=lambda p, v: 0.5 * v,
+                    constraint="none", dim=3, is_complex=False)
+    run = matched_forms(pair, Identity(), np.eye(3))[form]
+    with pytest.raises(DivergenceError, match="non-finite"):
+        run(StopRule(max_iters=10, opt_eps=None))
 
 
 def test_repeated_runs_are_bitwise_deterministic():
