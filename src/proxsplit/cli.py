@@ -2,10 +2,12 @@
 
 Subcommands: ``run`` (one parametrized solve with trace, summary and
 reference artifacts), ``sweep`` (iteration counts over a parameter grid),
-``ratecheck`` (empirical cocoercivity level and decay-bound audit of a run),
-``gen`` (instance generation to a reusable file). Configuration comes from
-flat key=value files overridden by command-line flags; the ``PROXSPLIT_SEED``
-environment variable supplies the seed when neither source does.
+``protocol`` (the app's iteration-count table: identity, a-priori estimates
+and reference-based optima), ``ratecheck`` (empirical cocoercivity level and
+decay-bound audit of a run), ``gen`` (instance generation to a reusable
+file). Configuration comes from flat key=value files overridden by
+command-line flags; the ``PROXSPLIT_SEED`` environment variable supplies the
+seed when neither source does.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .problems import (BqpInstance, _encode_array, build_prox_pair, gen_bqp, gen
 from .splitting import (RateBound, StopRule, estimate_cocoercivity, rate_check, run_admm,
                         run_drs, run_pd, run_pdf, matched_admm_init, matched_pd_init,
                         matched_pdf_init, sharp_rate_factor)
-from .tuning import (SolutionPair, acceleration_gain, bqp_estimate, optimal_scalar,
-                     sdp_joint_search, sdp_separate_choices, sr_estimate)
+from .tuning import (SolutionPair, acceleration_gain, bqp_estimate, bqp_protocol_params,
+                     optimal_scalar, sdp_joint_search, sdp_separate_choices, sr_estimate,
+                     sr_protocol_params)
 
 SUMMARY_SCHEMA = "proxsplit-summary v1"
 SWEEP_SCHEMA = "proxsplit-sweep v1"
+PROTOCOL_SCHEMA = "proxsplit-protocol v1"
 RATECHECK_SCHEMA = "proxsplit-ratecheck v1"
 
 APPS = ("bqp", "sr")
@@ -162,7 +166,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def make_instance(cfg: ExperimentConfig):
     if cfg.instance:
-        inst = load_instance(cfg.instance)
+        try:
+            inst = load_instance(cfg.instance)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load instance {cfg.instance}: {exc}") from exc
         kind = "bqp" if isinstance(inst, BqpInstance) else "sr"
         if kind != cfg.app:
             raise ConfigError(f"instance file holds a {kind} problem, but app={cfg.app}")
@@ -177,6 +184,13 @@ def estimate_param(inst) -> SdpHadamard:
     if isinstance(inst, BqpInstance):
         return bqp_estimate(inst.a, inst.b, inst.n)
     return sr_estimate(inst.n, inst.k, inst.sigma, "joint")
+
+
+def protocol_params(inst, ref_pair: SolutionPair) -> dict[str, OperatorParam]:
+    """The app's iteration-protocol rows in table order, the identity first."""
+    if isinstance(inst, BqpInstance):
+        return bqp_protocol_params(inst.a, inst.b, inst.n, ref_pair)
+    return sr_protocol_params(inst.n, inst.k, inst.sigma)
 
 
 def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorParam:
@@ -242,12 +256,16 @@ def _prepare(cfg: ExperimentConfig):
     return inst, pair, ref, ref_pair
 
 
+def _mse_stop(cfg: ExperimentConfig, ref) -> StopRule:
+    """Stop at MSE ``cfg.mse_eps`` against the reference, or at the configured caps."""
+    return StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
+                    mse_eps=cfg.mse_eps, reference=ref.x_ref)
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     inst, pair, ref, ref_pair = _prepare(cfg)
     param = make_param(cfg, inst, ref_pair)
-    stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
-                    mse_eps=cfg.mse_eps, reference=ref.x_ref)
-    state, trace = solve(pair, param, cfg.algo, stop)
+    state, trace = solve(pair, param, cfg.algo, _mse_stop(cfg, ref))
     gain = acceleration_gain(param, ref_pair)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -301,9 +319,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
     def run_cell(cell):
         a, b = cell
-        stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
-                        mse_eps=cfg.mse_eps, reference=ref.x_ref)
-        _, trace = solve(pair, SdpHadamard(a, b, inst.shape), cfg.algo, stop)
+        _, trace = solve(pair, SdpHadamard(a, b, inst.shape), cfg.algo, _mse_stop(cfg, ref))
         final_mse = None if trace.mse is None else trace.mse[-1]
         return trace.iterations, final_mse
 
@@ -326,18 +342,44 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def cmd_protocol(cfg: ExperimentConfig) -> int:
+    inst, pair, ref, ref_pair = _prepare(cfg)
+    params = protocol_params(inst, ref_pair)
+    traces = {mode: solve(pair, param, cfg.algo, _mse_stop(cfg, ref))[1]
+              for mode, param in params.items()}
+    base = traces["identity"].iterations
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / "protocol.csv"
+    print(f"{cfg.app}/{cfg.algo} protocol (n={inst.n}, k={inst.k}, seed={cfg.seed}); "
+          f"reference: {ref.iterations} iterations, residual {ref.residual:.2e}")
+    print(f"\n{'mode':<12}{'iterations':>12}{'speedup':>10}{'xi':>12}  parameter")
+    with open(path, "w") as fh:
+        fh.write(f"# {PROTOCOL_SCHEMA}\n")
+        fh.write("mode,iterations,speedup,xi,converged\n")
+        for mode, param in params.items():
+            trace = traces[mode]
+            iters, ok = trace.iterations, trace.converged
+            speedup, xi = base / iters, acceleration_gain(param, ref_pair).xi
+            fh.write(f"{mode},{iters},{speedup!r},{xi!r},{ok}\n")
+            flag = "" if ok else "  (hit cap)"
+            print(f"{mode:<12}{iters:>12}{speedup:>10.1f}{xi:>12.4g}  "
+                  f"{param.to_config()}{flag}")
+    _write_json(outdir / "reference.json", _reference_doc(ref))
+    print(f"\nwrote {path}")
+    return 0 if all(trace.converged for trace in traces.values()) else 2
+
+
 def cmd_ratecheck(cfg: ExperimentConfig) -> int:
     inst, pair, ref, ref_pair = _prepare(cfg)
     param = make_param(cfg, inst, ref_pair)
-    stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
-                    mse_eps=cfg.mse_eps, reference=ref.x_ref)
     snaps = [pair.zeros()]
 
     def hook(k, psi):
         if k <= 32:
             snaps.append(psi.copy())
 
-    state, trace = solve(pair, param, cfg.algo, stop, psi_hook=hook)
+    state, trace = solve(pair, param, cfg.algo, _mse_stop(cfg, ref), psi_hook=hook)
     l_hat = estimate_cocoercivity([(snaps[i], snaps[i + 1]) for i in range(len(snaps) - 1)])
     basic = rate_check(trace, RateBound(1.0, trace.anchor_sq))
     sharp = rate_check(trace, RateBound(l_hat, trace.anchor_sq))
@@ -375,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, descr in (("run", "single parametrized solve with artifacts"),
                         ("sweep", "iteration counts over a parameter grid"),
+                        ("protocol", "the app's iteration-count table"),
                         ("ratecheck", "decay-bound audit of a run"),
                         ("gen", "write a problem instance file")):
         sp = sub.add_parser(name, help=descr)
@@ -406,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    commands = {"run": cmd_run, "sweep": cmd_sweep,
+    commands = {"run": cmd_run, "sweep": cmd_sweep, "protocol": cmd_protocol,
                 "ratecheck": cmd_ratecheck, "gen": cmd_gen}
     try:
         cfg = resolve_config(args)

@@ -231,21 +231,44 @@ def save_instance(inst, path) -> None:
         fh.write("\n")
 
 
+def _checked_array(doc: dict, key: str, shape: tuple | None) -> np.ndarray:
+    """Decode ``doc[key]``; require finite entries and, unless ``None``, ``shape``."""
+    a = _decode_array(doc[key])
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"instance array {key!r} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"instance array {key!r} has non-finite entries")
+    return a
+
+
 def load_instance(path):
-    """Rebuild a saved instance, restoring every array verbatim."""
+    """Rebuild a saved instance, restoring every array verbatim.
+
+    Raises ``ValueError`` for a foreign document, a non-finite array or one
+    whose shape disagrees with the stored ``n`` and ``k``.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != INSTANCE_SCHEMA:
         raise ValueError(f"unrecognized instance schema: {doc.get('schema')!r}")
+    n, k = doc["n"], doc["k"]
+    if not all(type(d) is int and d >= 1 for d in (n, k)):
+        raise ValueError(f"instance dimensions must be positive integers, got n={n!r}, k={k!r}")
+    g_f = _checked_array(doc, "g_f", (n + 1, n + 1))
     if doc["kind"] == "bqp":
-        return BqpInstance(a=_decode_array(doc["a"]), b=_decode_array(doc["b"]),
-                           g_f=_decode_array(doc["g_f"]),
-                           shape=BlockShape(doc["n"], 1), seed=doc["seed"],
+        return BqpInstance(a=_checked_array(doc, "a", (k, n)),
+                           b=_checked_array(doc, "b", (k,)), g_f=g_f,
+                           shape=BlockShape(n, 1), seed=doc["seed"],
                            sigma_a=doc["sigma_a"], sigma_b=doc["sigma_b"])
     if doc["kind"] == "sr":
-        return SrInstance(n=doc["n"], k=doc["k"], taus=_decode_array(doc["taus"]),
-                          c=_decode_array(doc["c"]), x_star=_decode_array(doc["x_star"]),
-                          omega=_decode_array(doc["omega"]), g_f=_decode_array(doc["g_f"]),
+        omega = _checked_array(doc, "omega", None)
+        if (omega.ndim != 1 or not np.issubdtype(omega.dtype, np.integer)
+                or np.any((omega < 0) | (omega >= n))):
+            raise ValueError(f"instance array 'omega' must list integer indices in [0, {n})")
+        return SrInstance(n=n, k=k, taus=_checked_array(doc, "taus", (k,)),
+                          c=_checked_array(doc, "c", (k,)),
+                          x_star=_checked_array(doc, "x_star", (n,)),
+                          omega=omega, g_f=g_f,
                           sigma=doc["sigma"], obs_frac=doc["obs_frac"], seed=doc["seed"])
     raise ValueError(f"unknown instance kind: {doc['kind']!r}")
 

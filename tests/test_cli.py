@@ -138,6 +138,38 @@ def test_alpha_sweep_has_a_single_trough(tmp_path):
     assert min(iters[0], iters[-1]) > 10 * iters[best]
 
 
+def read_protocol(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# proxsplit-protocol v1"
+    assert lines[1] == "mode,iterations,speedup,xi,converged"
+    return [line.split(",") for line in lines[2:]]
+
+
+# Each row's iteration count on these draws is pinned, in table order, so a
+# change to a protocol table or to the solver's recursion shows up here.
+@pytest.mark.parametrize("args, expected", [
+    (BQP_SMALL, [("identity", 2190), ("est-alpha", 85), ("est-beta", 739), ("est-joint", 93),
+                 ("opt-alpha", 150), ("opt-beta", 743), ("opt-joint", 97)]),
+    (SR_SMALL, [("identity", 2367), ("est-joint", 82), ("est-alpha", 156), ("est-beta", 498)]),
+], ids=["bqp", "sr"])
+def test_protocol_iteration_counts(tmp_path, args, expected):
+    out = tmp_path / "protocol"
+    assert main(["protocol", *args, "--out", str(out)]) == 0
+    rows = read_protocol(out / "protocol.csv")
+    assert [(row[0], int(row[1])) for row in rows] == expected
+    assert all(row[4] == "True" for row in rows)
+    assert float(rows[0][2]) == 1.0 and float(rows[0][3]) == pytest.approx(1.0, rel=1e-12)
+    assert json.loads((out / "reference.json").read_text())["converged"] is True
+
+
+def test_protocol_hitting_the_cap_exits_two(tmp_path):
+    out = tmp_path / "capped"
+    assert main(["protocol", *BQP_SMALL, "--max-iters", "5", "--out", str(out)]) == 2
+    rows = read_protocol(out / "protocol.csv")
+    assert len(rows) == 7
+    assert all(row[1] == "5" and row[4] == "False" for row in rows)
+
+
 def test_ratecheck_report(tmp_path):
     out = tmp_path / "rc"
     code = main(["ratecheck", *BQP_SMALL, "--param-mode", "estimate",
@@ -193,6 +225,31 @@ def test_run_on_saved_instance(tmp_path):
                  "--out", str(tmp_path / "bad")]) == 1
 
 
+def _nan_entry(doc):
+    doc["a"]["data"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("spoil", [
+    None,
+    lambda doc: doc.update(schema="x"),
+    _nan_entry,
+    lambda doc: doc.update(b={"shape": [3], "dtype": "float", "data": [0.0] * 3}),
+    lambda doc: doc.update(a=[1.0]),
+], ids=["missing", "schema", "nan", "shape", "malformed"])
+def test_bad_instance_file_exits_one(tmp_path, capsys, spoil):
+    path = tmp_path / "inst.json"
+    if spoil is not None:
+        assert main(["gen", *BQP_SMALL, "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        spoil(doc)
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--app", "bqp", "--instance", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot load instance")
+    assert not out.exists()
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     out = str(tmp_path / "o")
     # modes that are not runnable are usage errors: argparse exits with 2
@@ -213,7 +270,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "param-mode" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "ratecheck"])
+@pytest.mark.parametrize("command", ["run", "sweep", "ratecheck", "protocol"])
 def test_unconverged_reference_exits_two(tmp_path, capsys, command):
     out = tmp_path / command
     extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []

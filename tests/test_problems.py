@@ -205,6 +205,23 @@ def test_load_rejects_foreign_documents(tmp_path):
         load_instance(bad2)
 
 
+@pytest.mark.parametrize("key, data, match", [
+    ("omega", {"shape": [2], "dtype": "int", "data": [0, 9]}, "omega"),
+    ("omega", {"shape": [2], "dtype": "float", "data": [0.0, 1.0]}, "omega"),
+    ("x_star", {"shape": [8], "dtype": "float", "data": [0.0] * 8}, "shape"),
+    ("c", {"shape": [3], "dtype": "float", "data": [1.0, float("inf"), 0.0]}, "non-finite"),
+    ("n", 0, "positive integers"),
+])
+def test_load_rejects_inconsistent_sr_documents(tmp_path, key, data, match):
+    path = tmp_path / "inst.json"
+    save_instance(gen_sr(9, 3, 2.0, 0.8, 4), path)
+    doc = json.loads(path.read_text())
+    doc[key] = data
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_instance(path)
+
+
 def test_save_rejects_unknown_objects(tmp_path):
     with pytest.raises(TypeError):
         save_instance({"n": 3}, tmp_path / "x.json")
