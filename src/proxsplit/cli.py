@@ -93,6 +93,9 @@ class ExperimentConfig:
         for name in ("n", "k", "max_iters", "jobs", "ref_max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.app == "sr" and self.k > self.n:
+            raise ConfigError(f"sr needs k <= n: cannot separate {self.k} spikes "
+                              f"on {self.n} samples")
         for name in ("sigma_a", "sigma_b", "sigma", "ref_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -176,7 +179,10 @@ def make_instance(cfg: ExperimentConfig):
         return inst
     if cfg.app == "bqp":
         return gen_bqp(cfg.n, cfg.k, cfg.sigma_a, cfg.sigma_b, cfg.seed)
-    return gen_sr(cfg.n, cfg.k, cfg.sigma, cfg.obs_frac, cfg.seed)
+    try:
+        return gen_sr(cfg.n, cfg.k, cfg.sigma, cfg.obs_frac, cfg.seed)
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError(f"cannot generate sr instance (n={cfg.n}, k={cfg.k}): {exc}") from exc
 
 
 def estimate_param(inst) -> SdpHadamard:

@@ -146,8 +146,9 @@ def build_prox_pair(inst) -> ProxPair:
                         constraint="diag-ones", dim=inst.n + 1, is_complex=False)
     if isinstance(inst, SrInstance):
         observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
+        # the lifted solution [[T(u), x], [x^H, t]] has rank k, one per spike
         return ProxPair(f_prox=partial(prox_linear_sr, inst.g_f, observed),
-                        g_prox=prox_psd_indicator, g_f=inst.g_f,
+                        g_prox=partial(prox_psd_indicator, expected_rank=inst.k), g_f=inst.g_f,
                         constraint="fixed-toeplitz", dim=inst.n + 1, is_complex=True)
     raise TypeError(f"unsupported instance type: {type(inst).__name__}")
 

@@ -280,6 +280,27 @@ def test_unconverged_reference_exits_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "sweep", "protocol"])
+def test_more_sr_spikes_than_samples_exits_one(tmp_path, capsys, command):
+    out = tmp_path / command
+    extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
+    code = main([command, "--app", "sr", "--n", "5", "--k", "10", *extra, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: sr needs k <= n")
+    assert not out.exists()
+
+
+def test_unseparable_sr_spikes_exit_one(tmp_path, capsys):
+    # two spikes at least 1/2 apart on the unit circle must be exactly antipodal,
+    # so every random draw is rejected until the generator gives up
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--app", "sr", "--n", "2", "--k", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot generate sr instance")
+    assert "separated spike locations" in err
+    assert not out.exists()
+
+
 def test_hitting_the_cap_exits_two(tmp_path):
     out = tmp_path / "capped"
     code = main(["run", *BQP_SMALL, "--param-mode", "identity",

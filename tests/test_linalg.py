@@ -1,4 +1,6 @@
 import ctypes
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -113,21 +115,44 @@ def spectrum_case(kind, n, complex_field, seed):
         w = -w
     elif kind == "mixed":
         w = w * rng.choice([-1.0, 1.0], n)
+    elif kind == "low-rank":
+        # 1 <= r <= n/8 positive eigenvalues, like the solver's BQP iterates
+        w[int(rng.integers(1, max(1, n // 8) + 1)):] *= -1.0
+    elif kind == "clustered-positive":
+        # the positive eigenvalues agree to nine digits
+        r = int(rng.integers(1, n + 1))
+        w[:r] = 1.0 + 1e-9 * rng.uniform(size=r)
+        w[r:] *= -1.0
     return hermitian_part((q * (scale * w)) @ q.conj().T)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
 @pytest.mark.parametrize("kind", ["negative", "positive", "mixed", "zero",
-                                  "psd-exact-zeros", "mixed-exact-zeros"])
+                                  "psd-exact-zeros", "mixed-exact-zeros",
+                                  "low-rank", "clustered-positive"])
 def test_project_psd_matches_full_eigh_projection(kind, complex_field):
+    # expected rank 1 selects the partial solve, n divide and conquer (n >= 2)
     for n in range(1, 61):
         h = spectrum_case(kind, n, complex_field, seed=1000 * n + 7)
-        p = project_psd(h)
-        assert p.shape == h.shape and p.dtype == h.dtype
         tol = 1e-12 * np.linalg.norm(h)
-        assert np.linalg.norm(p - psd_oracle(h)) <= tol, (kind, n)
-        np.testing.assert_array_equal(p, p.conj().T)
-        assert np.linalg.eigvalsh(p)[0] >= -tol, (kind, n)
+        for expected_rank in (1, n):
+            p = project_psd(h, expected_rank=expected_rank)
+            assert p.shape == h.shape and p.dtype == h.dtype
+            assert np.linalg.norm(p - psd_oracle(h)) <= tol, (kind, n, expected_rank)
+            np.testing.assert_array_equal(p, p.conj().T)
+            assert np.linalg.eigvalsh(p)[0] >= -tol, (kind, n, expected_rank)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_expected_rank_selects_the_eigensolver(complex_field):
+    dtype = np.dtype(complex if complex_field else float)
+    for n in (2, 9, 41, 51):
+        h = spectrum_case("mixed", n, complex_field, seed=n)
+        for expected_rank, kind in ((1, linalg._EvrPlan), (n, linalg._StedcPlan)):
+            w, v = linalg.positive_eigenpairs(h, expected_rank)
+            w_plan, rows = linalg._plan(kind, n, dtype).eigenpairs(h)
+            np.testing.assert_array_equal(w, w_plan)
+            np.testing.assert_array_equal(v, rows.conj().T)
 
 
 def test_project_psd_symmetrizes_nonhermitian_input():
@@ -149,9 +174,46 @@ def test_project_psd_rejects_nonfinite_and_nonsquare(bad):
 
 def test_lapack_routines_are_gil_releasing_ctypes_functions():
     # CFUNCTYPE calls drop the GIL; PYFUNCTYPE (or an f2py wrapper) would hold it
-    for fn in (linalg._DSYEVR, linalg._ZHEEVR):
+    for fn in (linalg._DSYEVR, linalg._ZHEEVR, linalg._DSYTRD, linalg._ZHETRD,
+               linalg._DSTEDC, linalg._DORMTR, linalg._ZUNMTR):
         assert isinstance(fn, ctypes._CFuncPtr)
         assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_concurrent_projections_match_serial_results():
+    # every call gets its own LAPACK argument buffer, which `sweep --jobs` relies on
+    rng = np.random.default_rng(5)
+    cases = [(spectrum_case(kind, n, complex_field, seed=int(rng.integers(1 << 30))), rank)
+             for kind in ("low-rank", "mixed")
+             for n in (9, 41, 51)
+             for complex_field in (False, True)
+             for rank in (1, n)]
+    serial = [project_psd(h, expected_rank=rank) for h, rank in cases]
+    mismatches, errors = [], []
+
+    def worker(offset):
+        try:
+            for rep in range(20):
+                for i in range(len(cases)):
+                    j = (i + offset + rep) % len(cases)
+                    h, rank = cases[j]
+                    if not np.array_equal(project_psd(h, expected_rank=rank), serial[j]):
+                        mismatches.append(j)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(3 * t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and mismatches == []
 
 
 def test_project_nsd_mirrors_psd():
