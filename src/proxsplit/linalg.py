@@ -11,7 +11,6 @@ import ctypes
 import functools
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import cython_lapack
 
 
@@ -101,20 +100,23 @@ class _Plan:
         start = self.offsets[key]
         return buf[start:start + count * np.dtype(dtype).itemsize].view(dtype)
 
-    def buffer(self, h: np.ndarray | None) -> np.ndarray:
-        """Fresh argument buffer holding ``h`` (``None``: a workspace query)."""
+    def buffer(self, h: np.ndarray | None) -> tuple[np.ndarray, int]:
+        """Fresh argument buffer holding ``h`` (``None``: a workspace query), and its address.
+
+        The caller keeps the buffer referenced while LAPACK works on the address.
+        """
         buf = np.empty(self.nbytes, dtype=np.uint8)
         buf[:_HEAD_BYTES] = self.head
         if h is not None:
             self.view(buf, "a", self.dtype, self.n * self.n).reshape(self.n, self.n)[...] = h
-        return buf
+        # a third of the time ``buf.ctypes.data`` takes
+        return buf, ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
     @staticmethod
-    def run(buf: np.ndarray, routine, chars: tuple[bytes, ...], arg_offsets) -> None:
-        """Call ``routine`` on pointers into ``buf``; ``info != 0`` raises ``LinAlgError``."""
-        base = buf.ctypes.data
+    def run(base: int, routine, chars: tuple[bytes, ...], arg_offsets) -> None:
+        """Call ``routine`` on pointers into the buffer at ``base``; ``info != 0`` raises ``LinAlgError``."""
         routine(*chars, *[base + off for off in arg_offsets])
-        info = int(buf[_INFO:_INFO + 4].view(np.intc)[0])
+        info = ctypes.c_int.from_address(base + _INFO).value
         if info != 0:
             raise np.linalg.LinAlgError(f"eigensolver failed (info={info})")
 
@@ -149,17 +151,17 @@ class _EvrPlan(_Plan):
     @classmethod
     def query(cls, n: int, dtype: np.dtype) -> "_EvrPlan":
         plan = cls(n, dtype, -1, -1, -1)
-        buf = plan.buffer(None)
-        plan.run(buf, plan.routine, (b"V", b"V", b"L"), plan.arg_offsets)
+        buf, base = plan.buffer(None)
+        plan.run(base, plan.routine, (b"V", b"V", b"L"), plan.arg_offsets)
         lwork = int(plan.view(buf, "work", dtype, 1)[0].real)
         lrwork = int(plan.view(buf, "rwork", np.float64, 1)[0]) if dtype.kind == "c" else 0
         liwork = int(plan.view(buf, "iwork", np.intc, 1)[0])
         return cls(n, dtype, lwork, lrwork, liwork)
 
     def eigenpairs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        buf = self.buffer(h)
-        self.run(buf, self.routine, (b"V", b"V", b"L"), self.arg_offsets)
-        r = int(buf[24:_INFO].view(np.intc)[0])
+        buf, base = self.buffer(h)
+        self.run(base, self.routine, (b"V", b"V", b"L"), self.arg_offsets)
+        r = ctypes.c_int.from_address(base + 24).value
         rows = self.view(buf, "z", self.dtype, r * self.n).reshape(r, self.n)
         return self.view(buf, "w", np.float64, r), rows
 
@@ -191,38 +193,38 @@ class _StedcPlan(_Plan):
         self.mtr_head = (n_, self._cols, o["a"], ld, o["tau"])
         self.mtr_tail = (ld, o["work"], lw, _INFO)
 
-    def _back_transform(self, buf: np.ndarray, first: int) -> np.ndarray:
+    def _back_transform(self, buf: np.ndarray, base: int, first: int) -> np.ndarray:
         """Apply the reduction's reflectors to tridiagonal eigenvectors ``first``, ..., ``n - 1``."""
         n, r = self.n, self.n - first
-        buf[self._cols:self._cols + 4].view(np.intc)[0] = r
+        ctypes.c_int.from_address(base + self._cols).value = r
         if self.dtype.kind == "c":
             self.view(buf, "c", self.dtype, r * n)[...] = self.view(buf, "z", np.float64, n * n)[first * n:]
             c = self.offsets["c"]
         else:
             c = self.offsets["z"] + first * n * 8  # in place: the columns are contiguous
-        self.run(buf, self.mtr, (b"L", b"L", b"N"), (*self.mtr_head, c, *self.mtr_tail))
+        self.run(base, self.mtr, (b"L", b"L", b"N"), (*self.mtr_head, c, *self.mtr_tail))
         return buf[c:c + r * n * self.dtype.itemsize].view(self.dtype).reshape(r, n)
 
     @classmethod
     def query(cls, n: int, dtype: np.dtype) -> "_StedcPlan":
         plan = cls(n, dtype, -1, -1, -1)
-        buf = plan.buffer(None)
-        plan.run(buf, plan.trd, (b"L",), plan.trd_args)
+        buf, base = plan.buffer(None)
+        plan.run(base, plan.trd, (b"L",), plan.trd_args)
         lwork = int(plan.view(buf, "work", dtype, 1)[0].real)
-        plan.run(buf, _DSTEDC, (b"I",), plan.stedc_args)
+        plan.run(base, _DSTEDC, (b"I",), plan.stedc_args)
         lrwork = int(plan.view(buf, "rwork", np.float64, 1)[0])
         liwork = int(plan.view(buf, "iwork", np.intc, 1)[0])
-        plan._back_transform(buf, 0)
+        plan._back_transform(buf, base, 0)
         lwork = max(lwork, int(plan.view(buf, "work", dtype, 1)[0].real))
         return cls(n, dtype, lwork, lrwork, liwork)
 
     def eigenpairs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        buf = self.buffer(h)
-        self.run(buf, self.trd, (b"L",), self.trd_args)
-        self.run(buf, _DSTEDC, (b"I",), self.stedc_args)
+        buf, base = self.buffer(h)
+        self.run(base, self.trd, (b"L",), self.trd_args)
+        self.run(base, _DSTEDC, (b"I",), self.stedc_args)
         w = self.view(buf, "d", np.float64, self.n)  # ascending
         first = int(np.searchsorted(w, 0.0, side="right"))
-        return w[first:], self._back_transform(buf, first)
+        return w[first:], self._back_transform(buf, base, first)
 
 
 #: Divide and conquer replaces the partial solve when
@@ -271,9 +273,12 @@ def project_psd(m, expected_rank: int = 1) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("project_psd expects a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("project_psd: non-finite entries")
     h = hermitian_part(m)
+    # Checked after symmetrizing, so entries above about 9e307 that overflow
+    # there are rejected too. A finite sum proves every entry finite at a
+    # fraction of the cost; the entrywise test settles an overflowing sum.
+    if not np.isfinite(h.sum()) and not np.isfinite(h).all():
+        raise ValueError("project_psd: non-finite entries (or overflow while symmetrizing)")
     w, v = positive_eigenpairs(h, expected_rank)
     if w.size == h.shape[0]:
         return h
@@ -297,7 +302,9 @@ def toeplitz_map(u: np.ndarray) -> np.ndarray:
         raise ValueError("toeplitz_map expects a non-empty vector")
     if np.iscomplexobj(u) and u[0].imag != 0.0:
         raise ValueError("toeplitz_map: u[0] must be real")
-    return scipy.linalg.toeplitz(u, u.conj())
+    # entry (i, j) is u[i - j] below the diagonal and conj(u[j - i]) above it
+    n = u.size
+    return np.concatenate((u[:0:-1].conj(), u))[_diagonal_offsets(n)].reshape(n, n)
 
 
 def toeplitz_adjoint(q) -> np.ndarray:
@@ -308,31 +315,43 @@ def toeplitz_adjoint(q) -> np.ndarray:
     """
     q = np.asarray(q)
     n = q.shape[0]
-    offsets = _diagonal_offsets(n)
     if np.iscomplexobj(q):
-        out = (np.bincount(offsets, weights=q.real.ravel(), minlength=2 * n - 1)
-               + 1j * np.bincount(offsets, weights=q.imag.ravel(), minlength=2 * n - 1))
+        # One count over the interleaved real and imaginary parts: bin 2k sums
+        # the real and bin 2k + 1 the imaginary parts of diagonal bin k, in the
+        # order two separate counts would.
+        q = np.ascontiguousarray(q, dtype=np.complex128)
+        out = np.bincount(_diagonal_offsets(n, interleaved=True), weights=q.view(np.float64).ravel(),
+                          minlength=2 * (2 * n - 1)).view(np.complex128)
     else:
-        out = np.bincount(offsets, weights=q.ravel(), minlength=2 * n - 1)
+        out = np.bincount(_diagonal_offsets(n), weights=q.ravel(), minlength=2 * n - 1)
     out = out[n - 1:]
     out[1:] *= 2.0
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _diagonal_offsets(n: int) -> np.ndarray:
-    """``i - j + n - 1`` for every entry ``(i, j)`` of an ``n x n`` matrix, row-major."""
+def _diagonal_offsets(n: int, interleaved: bool = False) -> np.ndarray:
+    """``i - j + n - 1`` for every entry ``(i, j)`` of an ``n x n`` matrix, row-major.
+
+    ``interleaved``: ``2 (i - j + n - 1)`` and ``2 (i - j + n - 1) + 1`` per
+    entry, the bins of its real and imaginary parts.
+    """
     i, j = np.indices((n, n))
     offsets = (i - j + n - 1).ravel()
+    if interleaved:
+        offsets = (2 * offsets[:, None] + np.arange(2)).ravel()
     offsets.flags.writeable = False
     return offsets
 
 
+@functools.lru_cache(maxsize=None)
 def toeplitz_gram_diag(n: int) -> np.ndarray:
-    """Diagonal of ``toeplitz_adjoint(toeplitz_map(.))``: ``(n, 2(n-1), ..., 2)``."""
+    """Diagonal of ``toeplitz_adjoint(toeplitz_map(.))``: ``(n, 2(n-1), ..., 2)``, read-only."""
     if n < 1:
         raise ValueError("n must be positive")
-    return np.concatenate(([float(n)], 2.0 * np.arange(n - 1, 0, -1)))
+    gram = np.concatenate(([float(n)], 2.0 * np.arange(n - 1, 0, -1)))
+    gram.flags.writeable = False
+    return gram
 
 
 def project_toeplitz(q) -> np.ndarray:

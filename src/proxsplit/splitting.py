@@ -118,12 +118,14 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
         t0 = time.perf_counter()
         x, z, lam, psi = next(steps)
         for a in (x, psi):
-            # one pass per array: a NaN or infinite entry makes the norm fail too
-            if not np.linalg.norm(a) <= DIVERGENCE_LIMIT:
+            # one pass per array: a NaN or infinite entry makes the test fail too,
+            # and so does a finite iterate whose squared norm overflows
+            if not np.vdot(a, a).real <= DIVERGENCE_LIMIT ** 2:
                 if not np.all(np.isfinite(a)):
                     raise DivergenceError("iterate turned non-finite")
                 raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g}")
-        fp_sq = float(np.real(np.vdot(psi - psi_prev, psi - psi_prev)))
+        step = psi - psi_prev
+        fp_sq = float(np.real(np.vdot(step, step)))
         opt_res = frob_norm(x - z)
         mse_val = None
         if trace.mse is not None:
@@ -167,11 +169,15 @@ def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRu
     def steps(psi):
         while True:
             z, sz, x, psi_next = _drs_update(pair, param, psi)
-            yield x, z, param.adjoint(psi - sz), psi_next
+            # only the terminal dual is kept: yield what it is made of
+            yield x, z, (psi, sz), psi_next
             psi = psi_next
 
     psi = np.array(psi0, copy=True)
-    return _run_loop(steps(psi), psi, stop, psi_hook)
+    state, trace = _run_loop(steps(psi), psi, stop, psi_hook)
+    psi_last, sz = state.lam
+    state.lam = param.adjoint(psi_last - sz)
+    return state, trace
 
 
 def run_admm(pair: ProxPair, param: OperatorParam, z0: np.ndarray, lam0: np.ndarray,

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from proxsplit import linalg
@@ -172,6 +173,27 @@ def test_project_psd_rejects_nonfinite_and_nonsquare(bad):
         project_psd(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("m", [np.diag([1.5e308, -1.0, 2.0]),
+                               np.array([[1.0, 1e308], [1e308, 1.0]]),
+                               np.diag([1.5e308 + 0j, -1.0, 2.0])])
+def test_project_psd_rejects_entries_that_overflow_when_symmetrized(m):
+    # finite input whose Hermitian part overflows used to reach LAPACK as inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            project_psd(m)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_project_psd_accepts_finite_input_whose_entry_sum_overflows(dtype):
+    # 25 entries of 1e307 sum to inf, yet every entry and the projection are finite
+    m = np.full((5, 5), 1e307, dtype=dtype)
+    for expected_rank in (1, 5):
+        with np.errstate(over="ignore"):
+            p = project_psd(m, expected_rank=expected_rank)
+        # m is PSD (rank one), so it is its own projection
+        np.testing.assert_allclose(p / 1e307, np.ones((5, 5)), rtol=0, atol=1e-12)
+
+
 def test_lapack_routines_are_gil_releasing_ctypes_functions():
     # CFUNCTYPE calls drop the GIL; PYFUNCTYPE (or an f2py wrapper) would hold it
     for fn in (linalg._DSYEVR, linalg._ZHEEVR, linalg._DSYTRD, linalg._ZHETRD,
@@ -237,6 +259,19 @@ def test_toeplitz_map_layout():
     np.testing.assert_allclose(t, t.conj().T)
     # constant diagonals
     assert t[1, 0] == t[2, 1]
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_toeplitz_map_is_bitwise_scipy_toeplitz(complex_field):
+    rng = np.random.default_rng(21)
+    for n in range(1, 61):
+        u = rng.standard_normal(n)
+        if complex_field:
+            u = u + 1j * rng.standard_normal(n)
+            u[0] = u[0].real
+        got, want = toeplitz_map(u), scipy.linalg.toeplitz(u, u.conj())
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_toeplitz_map_requires_real_leading_entry():

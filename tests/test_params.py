@@ -51,6 +51,36 @@ def test_entrywise_params_are_self_adjoint(param):
         frob_inner(a, param.adjoint(b)), rel=1e-10)
 
 
+def hadamard_grid(alpha, beta, n, k):
+    """The documented weight grid of ``SdpHadamard(alpha, beta, BlockShape(n, k))``."""
+    w = np.full((n + k, n + k), alpha)
+    w[:n, :n] = alpha / beta
+    w[n:, n:] = alpha * beta
+    return w
+
+
+def test_sdp_hadamard_inverse_is_bitwise_the_quotient():
+    # complex input takes a multiplication by the reciprocal grid, which must
+    # give the quotient's bits; real input must keep dividing
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        alpha, beta = 10.0 ** rng.uniform(-3, 3, size=2)
+        p, w = SdpHadamard(alpha, beta, BlockShape(n, k)), hadamard_grid(alpha, beta, n, k)
+        v = random_hermitian(n + k, rng, complex_field=True, scale=10.0 ** rng.uniform(-200, 200))
+        v[rng.random(v.shape) < 0.1] = 0.0
+        v = 0.5 * (v + v.conj().T)
+        assert p.inverse(v).tobytes() == (v / w).tobytes()
+        r = v.real.copy()
+        assert p.inverse(r).tobytes() == (r / w).tobytes()
+        assert p.gram_inverse(r).tobytes() == (r / w / w).tobytes()
+    # the real case is not a multiplication by the reciprocal
+    r = np.random.default_rng(3).standard_normal((4, 4))
+    w = hadamard_grid(0.3, 1.7, 3, 1)
+    assert not np.array_equal(r * (1.0 / w), r / w)
+    assert np.array_equal(SdpHadamard(0.3, 1.7, BlockShape(3, 1)).inverse(r), r / w)
+
+
 @pytest.mark.parametrize("param", all_params())
 def test_gram_inverse_is_double_inverse(param):
     x = random_hermitian(5, RNG, complex_field=True)

@@ -193,12 +193,44 @@ def test_divergent_map_raises(form):
 
 
 @pytest.mark.parametrize("form", ["drs", "admm", "pdf", "pd"])
+def test_finite_iterate_with_overflowing_norm_is_not_called_nonfinite(form):
+    # entries of 1e200 are finite, but their squared norm overflows to inf
+    pair = ProxPair(f_prox=lambda p, v: np.full_like(v, 1e200), g_prox=lambda p, v: 0.5 * v,
+                    constraint="none", dim=3, is_complex=False)
+    run = matched_forms(pair, Identity(), np.eye(3))[form]
+    with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError, match="exceeded"):
+            run(StopRule(max_iters=10, opt_eps=None))
+
+
+@pytest.mark.parametrize("form", ["drs", "admm", "pdf", "pd"])
 def test_nonfinite_prox_raises(form):
     pair = ProxPair(f_prox=lambda p, v: np.full_like(v, np.nan), g_prox=lambda p, v: 0.5 * v,
                     constraint="none", dim=3, is_complex=False)
     run = matched_forms(pair, Identity(), np.eye(3))[form]
     with pytest.raises(DivergenceError, match="non-finite"):
         run(StopRule(max_iters=10, opt_eps=None))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("iters", [1, 2, 9])
+def test_drs_terminal_dual_is_built_from_the_last_step(iters, complex_field):
+    # run_drs forms the dual only once, after the loop, from the governing
+    # iterate the last step started from and that step's resolvent output
+    n = 4
+    rng = np.random.default_rng(iters)
+    g = random_hermitian(n + 1, rng, scale=0.4)
+    pair = ProxPair(f_prox=partial(prox_linear_diag1, g), g_prox=prox_psd_indicator, g_f=g,
+                    dim=n + 1, is_complex=complex_field)
+    param = SdpHadamard(1.3, 0.6, BlockShape(n, 1))
+    psi0 = random_hermitian(n + 1, rng, complex_field=complex_field)
+    psis = [psi0]
+    state, _ = run_drs(pair, param, psi0, StopRule(max_iters=iters, opt_eps=None),
+                       lambda k, psi: psis.append(psi))
+    assert len(psis) == iters + 1
+    expected = param.adjoint(psis[-2] - param.apply(state.z))
+    assert state.lam.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(state.psi, psis[-1])
 
 
 def test_repeated_runs_are_bitwise_deterministic():
