@@ -19,6 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -109,10 +110,13 @@ class ExperimentConfig:
             raise ConfigError("manual mode needs both --alpha and --beta")
 
 
-_INT_KEYS = {"n", "k", "seed", "max_iters", "jobs", "ref_max_iters"}
-_FLOAT_KEYS = {"sigma_a", "sigma_b", "sigma", "obs_frac", "alpha", "beta", "ref_eps"}
-_OPT_FLOAT_KEYS = {"mse_eps", "opt_eps"}
-_STR_KEYS = {"app", "param_mode", "algo", "out", "alpha_grid", "beta_grid", "instance"}
+#: the value sets of the settings that take one of a few names
+_CHOICES = {"app": APPS, "param_mode": PARAM_MODES, "algo": ALGOS}
+#: the only settings that ``none`` or ``off`` switches off
+_SWITCHABLE = {"mse_eps", "opt_eps"}
+#: every setting by name, with the type its text converts to
+_TYPES = {name: (get_args(hint) or (hint,))[0]
+          for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -130,32 +134,26 @@ def read_config_file(path) -> dict[str, str]:
     return raw
 
 
-def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
+def _coerce(key: str, value: str):
+    if key in _SWITCHABLE and value.lower() in ("none", "off"):
+        return None
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _OPT_FLOAT_KEYS:
-            return None if value.lower() in ("none", "off") else float(value)
+        return _TYPES[key](value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then config file, then flags; environment seed as fallback."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = read_config_file(args.config)
-        unknown = set(file_cfg) - (_INT_KEYS | _FLOAT_KEYS | _OPT_FLOAT_KEYS | _STR_KEYS)
+        unknown = set(file_cfg) - _TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in (_INT_KEYS | _FLOAT_KEYS | _OPT_FLOAT_KEYS | _STR_KEYS):
-        val = getattr(args, key, None)
+    for key in _TYPES:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     if "seed" not in merged and os.environ.get("PROXSPLIT_SEED"):
@@ -427,29 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
                         ("ratecheck", "decay-bound audit of a run"),
                         ("gen", "write a problem instance file")):
         sp = sub.add_parser(name, help=descr)
-        sp.add_argument("--app", choices=APPS)
-        sp.add_argument("--param-mode", dest="param_mode", choices=PARAM_MODES)
-        sp.add_argument("--alpha")
-        sp.add_argument("--beta")
-        sp.add_argument("--algo", choices=ALGOS)
-        sp.add_argument("--mse-eps", dest="mse_eps")
-        sp.add_argument("--opt-eps", dest="opt_eps")
-        sp.add_argument("--max-iters", dest="max_iters")
-        sp.add_argument("--ref-eps", dest="ref_eps")
-        sp.add_argument("--ref-max-iters", dest="ref_max_iters")
-        sp.add_argument("--seed")
-        sp.add_argument("--out")
-        sp.add_argument("--jobs")
+        for name in _TYPES:
+            sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                            choices=_CHOICES.get(name))
         sp.add_argument("--config")
-        sp.add_argument("--instance")
-        sp.add_argument("--n")
-        sp.add_argument("--k")
-        sp.add_argument("--sigma-a", dest="sigma_a")
-        sp.add_argument("--sigma-b", dest="sigma_b")
-        sp.add_argument("--sigma")
-        sp.add_argument("--obs-frac", dest="obs_frac")
-        sp.add_argument("--alpha-grid", dest="alpha_grid")
-        sp.add_argument("--beta-grid", dest="beta_grid")
     return parser
 
 

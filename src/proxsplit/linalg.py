@@ -35,10 +35,11 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, v)`` with ``m = v @ diag(w) @ v.conj().T`` up to roundoff.
     The input is symmetrized first; non-finite entries are rejected.
     """
-    m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("eig_hermitian: non-finite entries")
-    return np.linalg.eigh(hermitian_part(m))
+    h = hermitian_part(m)
+    # checked after symmetrizing, so entries that overflow there are rejected too
+    if not np.all(np.isfinite(h)):
+        raise ValueError("eig_hermitian: non-finite entries (or overflow while symmetrizing)")
+    return np.linalg.eigh(h)
 
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(

@@ -37,11 +37,8 @@ class OperatorParam:
 
     #: acts per matrix entry (Hadamard-style), so it commutes with entry constraints
     is_entrywise = False
-
-    @property
-    def is_definiteness_invariant(self) -> bool:
-        """Whether the action preserves eigenvalue sign patterns."""
-        return False
+    #: preserves eigenvalue sign patterns, so it commutes with cone projections
+    is_definiteness_invariant = False
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -66,10 +63,7 @@ class OperatorParam:
 
 class Identity(OperatorParam):
     is_entrywise = True
-
-    @property
-    def is_definiteness_invariant(self) -> bool:
-        return True
+    is_definiteness_invariant = True
 
     def apply(self, v):
         return np.asarray(v)
@@ -90,10 +84,7 @@ class Scalar(OperatorParam):
         if alpha == 0.0 or not np.isfinite(alpha):
             raise ValueError("scalar parameter must be nonzero and finite")
         self.alpha = float(alpha)
-
-    @property
-    def is_definiteness_invariant(self) -> bool:
-        return self.alpha > 0.0
+        self.is_definiteness_invariant = self.alpha > 0.0
 
     def apply(self, v):
         return self.alpha * np.asarray(v)
@@ -162,6 +153,7 @@ class SdpHadamard(OperatorParam):
     _w_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     is_entrywise = True
+    is_definiteness_invariant = True
 
     def __post_init__(self):
         if self.alpha <= 0.0 or self.beta <= 0.0:
@@ -172,10 +164,6 @@ class SdpHadamard(OperatorParam):
         w[n:, n:] = self.alpha * self.beta
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_w_inv", (1.0 / w).astype(complex))
-
-    @property
-    def is_definiteness_invariant(self) -> bool:
-        return True
 
     def _check(self, v):
         v = np.asarray(v)
@@ -212,11 +200,8 @@ class _AdjointInverse(OperatorParam):
     def __init__(self, base: OperatorParam):
         self.base = base
         self.is_entrywise = base.is_entrywise
-
-    @property
-    def is_definiteness_invariant(self) -> bool:
         # the inverse of an inertia-preserving bijection preserves inertia
-        return self.base.is_definiteness_invariant
+        self.is_definiteness_invariant = base.is_definiteness_invariant
 
     def apply(self, v):
         return self.base.adjoint_inverse(v)

@@ -99,11 +99,6 @@ class ConvergenceTrace:
                                  repr(self.elapsed_ms[k])])
 
 
-def optimality_residual(state: SplitState) -> float:
-    """Distance between the paired primal iterates; zero exactly at a fixed point."""
-    return frob_norm(state.x - state.z)
-
-
 def _run_loop(steps, psi: np.ndarray, stop: StopRule,
               psi_hook) -> tuple[SplitState, ConvergenceTrace]:
     """Iteration loop shared by every form, started at governing iterate ``psi``.
@@ -296,7 +291,7 @@ class RateBound:
 
     ``anchor_sq`` is the squared distance from the first governing iterate to
     a fixed point; in practice the final iterate stands in for the fixed
-    point, which rate checks flag as approximate.
+    point, so a check against it is approximate.
     """
 
     l_coco: float
@@ -319,16 +314,14 @@ class RateReport:
     ok: bool
     first_violation: int | None
     checked: int
-    approximate_fixed_point: bool = True
 
 
 def rate_check(trace: ConvergenceTrace, bound: RateBound,
                rel_slack: float = 0.0) -> RateReport:
     """Verify each squared step of a trace against the rate bound.
 
-    The bound's anchor is taken at face value; when it comes from a final
-    iterate rather than a true fixed point the report marks the check as
-    approximate.
+    The bound's anchor is taken at face value, also when it comes from a
+    final iterate rather than a true fixed point.
     """
     first = None
     for k, fp_sq in enumerate(trace.fp_residual_sq):

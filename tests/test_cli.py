@@ -1,16 +1,17 @@
 """End-to-end driver tests: artifacts, determinism, exit codes.
 
-Everything goes through ``main`` in-process on small instances, so the
-assertions cover argument handling, config merging and artifact layout
-exactly as a shell user would hit them.
+Everything goes through ``main`` (or its parser and config resolution)
+in-process on small instances, so the assertions cover argument handling,
+config merging and artifact layout exactly as a shell user would hit them.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from proxsplit.cli import main
+from proxsplit.cli import ExperimentConfig, build_parser, main, resolve_config
 from proxsplit.params import param_from_config
 from proxsplit.problems import _decode_array, gen_bqp, gen_sr, load_instance
 from proxsplit.tuning import SolutionPair, acceleration_gain
@@ -360,3 +361,54 @@ def test_other_algorithms_run_through_the_driver(tmp_path):
         iters[algo] = json.loads((out / "summary.json").read_text())["iterations"]
     # matched starts make every formulation stop at the same step
     assert len(set(iters.values())) == 1
+
+
+COMMANDS = ("run", "sweep", "protocol", "ratecheck", "gen")
+# one valid, non-default value per setting; the key set must track ExperimentConfig
+EVERY_SETTING = {"app": "sr", "n": 12, "k": 3, "sigma_a": 0.1, "sigma_b": 2.0,
+                 "sigma": 1.5, "obs_frac": 0.5, "seed": 7, "param_mode": "manual",
+                 "alpha": 0.5, "beta": 2.0, "algo": "pdf", "mse_eps": 1e-5,
+                 "opt_eps": 1e-9, "max_iters": 50, "ref_eps": 1e-9, "ref_max_iters": 60,
+                 "out": "o", "jobs": 2, "alpha_grid": "1,2", "beta_grid": "0.5:2:3",
+                 "instance": "i.json"}
+
+
+def test_every_setting_is_a_dashed_flag_of_every_command():
+    assert list(EVERY_SETTING) == [f.name for f in fields(ExperimentConfig)]
+    argv = [tok for name, value in EVERY_SETTING.items()
+            for tok in ("--" + name.replace("_", "-"), str(value))]
+    for command in COMMANDS:
+        args = build_parser().parse_args([command, *argv])
+        assert resolve_config(args) == ExperimentConfig(**EVERY_SETTING)
+
+
+@pytest.mark.parametrize("sep", ["_", "-"])
+def test_every_setting_is_a_config_key_of_every_command(tmp_path, sep):
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{name.replace('_', sep)} = {value}\n"
+                            for name, value in EVERY_SETTING.items()))
+    for command in COMMANDS:
+        args = build_parser().parse_args([command, "--config", str(path)])
+        assert resolve_config(args) == ExperimentConfig(**EVERY_SETTING)
+
+
+def test_none_and_off_switch_the_stopping_checks_off(tmp_path):
+    path = tmp_path / "off.cfg"
+    path.write_text("opt_eps = none\n")
+    out = tmp_path / "off"
+    # with neither check on, only the iteration cap can stop the run
+    assert main(["run", *BQP_SMALL, "--config", str(path), "--mse-eps", "off",
+                 "--max-iters", "7", "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mse_eps"] is None and summary["opt_eps"] is None
+    assert summary["stop_reason"] == "max_iters" and summary["iterations"] == 7
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "none"), ("--n", "1.5"),
+                                         ("--obs-frac", "x")])
+def test_bad_setting_values_exit_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "bad"
+    assert main(["run", *BQP_SMALL, flag, value, "--out", str(out)]) == 1
+    key = flag[2:].replace("-", "_")
+    assert f"error: bad value for {key}: {value!r}" in capsys.readouterr().err
+    assert not out.exists()

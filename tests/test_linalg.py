@@ -58,6 +58,15 @@ def test_eig_hermitian_rejects_nonfinite():
         eig_hermitian(bad)
 
 
+@pytest.mark.parametrize("m", [np.diag([1.5e308, -1.0, 2.0]),
+                               np.array([[1e308, 1.7e308], [1.7e308, 1.0]])])
+def test_eig_hermitian_rejects_entries_that_overflow_when_symmetrized(m):
+    # finite input whose Hermitian part overflows would give nan eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_hermitian(m)
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_project_psd_minimality_against_sampled_feasible_points(complex_field):
     # The projection must be the closest PSD point; any sampled PSD matrix

@@ -13,14 +13,12 @@ from proxsplit.splitting import (
     ConvergenceTrace,
     DivergenceError,
     RateBound,
-    SplitState,
     StopRule,
     drs_fixed_point_map,
     estimate_cocoercivity,
     matched_admm_init,
     matched_pd_init,
     matched_pdf_init,
-    optimality_residual,
     rate_check,
     run_admm,
     run_drs,
@@ -126,7 +124,7 @@ def test_run_drs_reaches_optimality_on_small_instance():
     param = SdpHadamard(0.8, 1.3, BlockShape(6, 1))
     state, trace = run_drs(pair, param, pair.zeros(), StopRule(max_iters=5000, opt_eps=1e-9))
     assert trace.converged and trace.stop_reason == "opt_eps"
-    assert optimality_residual(state) <= 1e-9
+    assert frob_norm(state.x - state.z) <= 1e-9
     assert np.linalg.eigvalsh(state.z)[0] >= -1e-9
     np.testing.assert_allclose(np.diag(state.x), 1.0, atol=1e-12)
     # governing-iterate identity psi = S x + adjoint-inverse lam
@@ -273,9 +271,3 @@ def test_mse_stopping_uses_reference(tmp_path):
     trace.write_csv(path)
     rows = list(csv.reader(path.read_text().splitlines()[2:]))
     assert float(rows[0][3]) == trace.mse[0]
-
-
-def test_split_state_residual():
-    s = SplitState(x=np.ones((2, 2)), z=np.zeros((2, 2)),
-                   lam=np.zeros((2, 2)), psi=np.ones((2, 2)), k=3)
-    assert optimality_residual(s) == pytest.approx(2.0)
