@@ -80,32 +80,30 @@ class ExperimentConfig:
     instance: str | None = None
 
     def validate(self) -> None:
-        if self.app not in APPS:
-            raise ConfigError(f"unknown app {self.app!r}; expected one of {APPS}")
-        if self.algo not in ALGOS:
-            raise ConfigError(f"unknown algo {self.algo!r}; expected one of {ALGOS}")
-        if self.param_mode not in PARAM_MODES:
-            raise ConfigError(f"unknown param-mode {self.param_mode!r}; "
-                              f"expected one of {PARAM_MODES}")
+        for name, choices in _CHOICES.items():
+            val = getattr(self, name)
+            if val not in choices:
+                raise ConfigError(f"unknown {name.replace('_', '-')} {val!r}; "
+                                  f"expected one of {choices}")
         if self.n is None:
             self.n = 40 if self.app == "bqp" else 50
         if self.k is None:
             self.k = 50 if self.app == "bqp" else 10
-        for name in ("n", "k", "max_iters", "jobs", "ref_max_iters"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+        for name, kind in _TYPES.items():
+            val = getattr(self, name)
+            if val is None or kind is str:
+                continue
+            if kind is int:
+                low = 0 if name == "seed" else 1
+                if val < low:
+                    raise ConfigError(f"{name} must be an integer >= {low}")
+            elif not 0.0 < val < np.inf:
+                raise ConfigError(f"{name} must be finite and positive")
+        if self.obs_frac > 1.0:
+            raise ConfigError("obs_frac must lie in (0, 1]")
         if self.app == "sr" and self.k > self.n:
             raise ConfigError(f"sr needs k <= n: cannot separate {self.k} spikes "
                               f"on {self.n} samples")
-        for name in ("sigma_a", "sigma_b", "sigma", "ref_eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.obs_frac <= 1.0:
-            raise ConfigError("obs_frac must lie in (0, 1]")
-        for name in ("alpha", "beta", "mse_eps", "opt_eps"):
-            val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ConfigError(f"{name} must be positive when set")
         if self.param_mode == "manual" and (self.alpha is None or self.beta is None):
             raise ConfigError("manual mode needs both --alpha and --beta")
 
@@ -300,13 +298,13 @@ def _parse_grid(spec: str) -> np.ndarray:
         if ":" in spec:
             lo_s, hi_s, count_s = spec.split(":")
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-            if lo <= 0 or hi < lo or count < 1:
+            if not 0.0 < lo <= hi < np.inf or count < 1:
                 raise ValueError
             if count == 1:
                 return np.array([lo])
             return np.logspace(np.log10(lo), np.log10(hi), count)
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
-        if vals.size == 0 or np.any(vals <= 0):
+        if vals.size == 0 or not np.all((vals > 0) & (vals < np.inf)):
             raise ValueError
         return vals
     except ValueError as exc:
@@ -327,11 +325,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         final_mse = None if trace.mse is None else trace.mse[-1]
         return trace.iterations, final_mse
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        results = list(pool.map(run_cell, cells))
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"

@@ -156,8 +156,8 @@ class SdpHadamard(OperatorParam):
     is_definiteness_invariant = True
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+            raise ValueError("alpha and beta must be positive and finite")
         n, size = self.shape.n, self.shape.size
         w = np.full((size, size), float(self.alpha))
         w[:n, :n] = self.alpha / self.beta

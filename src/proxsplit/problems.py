@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import frob_norm, gaussian_sample
+from .linalg import gaussian_sample
 from .params import BlockShape, OperatorParam
 from .prox import FixedEntrySet, ProxPair, prox_linear_diag1, prox_linear_sr, prox_psd_indicator
 from .splitting import StopRule, run_drs
@@ -183,12 +183,6 @@ def reference_solve(pair: ProxPair, param: OperatorParam, opt_eps: float = 1e-10
                              residual=trace.opt_residual[-1],
                              converged=trace.converged,
                              param_config=param.to_config())
-
-
-def mse(x: np.ndarray, x_ref: np.ndarray) -> float:
-    """Per-entry squared distance."""
-    d = np.asarray(x) - np.asarray(x_ref)
-    return float(np.real(np.vdot(d, d))) / d.size
 
 
 def _encode_array(a: np.ndarray) -> dict:

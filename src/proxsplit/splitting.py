@@ -67,7 +67,6 @@ class SplitState:
     z: np.ndarray
     lam: np.ndarray
     psi: np.ndarray
-    k: int
 
 
 @dataclass
@@ -139,7 +138,7 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
             break
         psi_prev = psi
     trace.anchor_sq = float(np.real(np.vdot(psi - psi_first, psi - psi_first)))
-    return SplitState(x=x, z=z, lam=lam, psi=psi, k=trace.iterations), trace
+    return SplitState(x=x, z=z, lam=lam, psi=psi), trace
 
 
 def _drs_update(pair: ProxPair, param: OperatorParam, psi: np.ndarray):
@@ -259,15 +258,6 @@ def matched_pd_init(pair: ProxPair, param: OperatorParam,
     return x0, lam_prev, lam0
 
 
-def drs_fixed_point_map(pair: ProxPair, param: OperatorParam):
-    """One governing-sequence update as a plain callable (an averaged map)."""
-
-    def step(psi: np.ndarray) -> np.ndarray:
-        return _drs_update(pair, param, psi)[3]
-
-    return step
-
-
 def sharp_rate_factor(l_coco: float, k: int) -> float:
     """Tight decay factor for the k-th squared step of an averaged map.
 
@@ -316,8 +306,7 @@ class RateReport:
     checked: int
 
 
-def rate_check(trace: ConvergenceTrace, bound: RateBound,
-               rel_slack: float = 0.0) -> RateReport:
+def rate_check(trace: ConvergenceTrace, bound: RateBound) -> RateReport:
     """Verify each squared step of a trace against the rate bound.
 
     The bound's anchor is taken at face value, also when it comes from a
@@ -325,8 +314,7 @@ def rate_check(trace: ConvergenceTrace, bound: RateBound,
     """
     first = None
     for k, fp_sq in enumerate(trace.fp_residual_sq):
-        limit = bound.factor(k) * bound.anchor_sq
-        if fp_sq > limit * (1.0 + rel_slack):
+        if fp_sq > bound.factor(k) * bound.anchor_sq:
             first = k
             break
     return RateReport(first is None, first, trace.iterations)

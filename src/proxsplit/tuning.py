@@ -23,15 +23,12 @@ from .params import BlockShape, Identity, OperatorParam, SdpHadamard
 class SolutionPair:
     """Primal and dual solutions used to score a step parameter.
 
-    ``psi0`` is the start of the governing sequence; ``None`` means zero,
-    which the closed-form selections require. ``shape`` carries the block
-    partition for matrix-valued pairs.
+    ``shape`` carries the block partition for matrix-valued pairs.
     """
 
     x_star: np.ndarray
     lam_star: np.ndarray
     shape: BlockShape | None = None
-    psi0: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x_star)
@@ -40,10 +37,6 @@ class SolutionPair:
             raise ValueError("primal and dual solutions must share a shape")
         object.__setattr__(self, "x_star", x)
         object.__setattr__(self, "lam_star", lam)
-
-    def _require_zero_start(self):
-        if self.psi0 is not None and np.any(self.psi0 != 0):
-            raise ValueError("closed-form selection assumes a zero start")
 
 
 @dataclass(frozen=True)
@@ -75,15 +68,13 @@ class GridSpec:
 
 def parameter_objective(param: OperatorParam, pair: SolutionPair) -> float:
     """Squared start distances of the primal and dual images under ``param``."""
-    psi0 = 0.0 if pair.psi0 is None else pair.psi0
-    pri = param.apply(pair.x_star) - psi0
-    dua = param.adjoint_inverse(pair.lam_star) - psi0
+    pri = param.apply(pair.x_star)
+    dua = param.adjoint_inverse(pair.lam_star)
     return float(np.real(np.vdot(pri, pri)) + np.real(np.vdot(dua, dua)))
 
 
 def optimal_scalar(pair: SolutionPair) -> float:
     """Best positive scalar parameter: fourth-root balance of dual over primal energy."""
-    pair._require_zero_start()
     nx, nl = frob_norm(pair.x_star), frob_norm(pair.lam_star)
     if nx == 0.0 or nl == 0.0:
         raise ValueError("scalar selection needs nonzero primal and dual solutions")
@@ -97,7 +88,6 @@ def optimal_diagonal(pair: SolutionPair, d_max: float = 1e8) -> np.ndarray:
     mirrored floor ``1/d_max``; coordinates where both vanish are arbitrary
     and get 1. Ratios are clipped into ``[1/d_max, d_max]``.
     """
-    pair._require_zero_start()
     x = np.abs(np.asarray(pair.x_star, dtype=float))
     lam = np.abs(np.asarray(pair.lam_star, dtype=float))
     d = np.ones_like(x)
@@ -135,12 +125,8 @@ def sdp_separate_choices(pair: SolutionPair) -> tuple[float, float]:
     The first entry balances total dual over primal energy; the second
     balances the block energies that the beta-weighting trades off.
     """
-    pair._require_zero_start()
     (x1, _, x2), (l1, _, l2) = _matrix_pair_norms(pair)
-    nx, nl = frob_norm(pair.x_star), frob_norm(pair.lam_star)
-    if nx == 0.0 or nl == 0.0:
-        raise ValueError("selection needs nonzero primal and dual solutions")
-    alpha_t = math.sqrt(nl / nx)
+    alpha_t = optimal_scalar(pair)
     num = x1 + l2
     den = x2 + l1
     if num == 0.0 or den == 0.0:
@@ -166,7 +152,6 @@ def sdp_joint_search(pair: SolutionPair, grid: GridSpec = GridSpec()) -> tuple[f
     pair, and the bounded per-coordinate refinement is derivative-free on a
     fixed bracket around the best cell.
     """
-    pair._require_zero_start()
     vals = grid.values()
     ga, gb = np.meshgrid(vals, vals, indexing="ij")
     scores = joint_objective(ga, gb, pair)
@@ -190,9 +175,8 @@ def sdp_joint_search(pair: SolutionPair, grid: GridSpec = GridSpec()) -> tuple[f
 
 def acceleration_gain(param: OperatorParam, pair: SolutionPair) -> GainReport:
     """Squared start distance under ``param`` relative to the identity."""
-    psi0 = 0.0 if pair.psi0 is None else pair.psi0
-    num_v = param.apply(pair.x_star) + param.adjoint_inverse(pair.lam_star) - psi0
-    den_v = np.asarray(pair.x_star) + pair.lam_star - psi0
+    num_v = param.apply(pair.x_star) + param.adjoint_inverse(pair.lam_star)
+    den_v = pair.x_star + pair.lam_star
     num = float(np.real(np.vdot(num_v, num_v)))
     den = float(np.real(np.vdot(den_v, den_v)))
     if den == 0.0:

@@ -392,6 +392,35 @@ def test_every_setting_is_a_config_key_of_every_command(tmp_path, sep):
         assert resolve_config(args) == ExperimentConfig(**EVERY_SETTING)
 
 
+# each float setting fails on nan and inf, each int setting below its floor
+OUT_OF_RANGE = ([(name, bad) for name, value in EVERY_SETTING.items()
+                 if isinstance(value, float) for bad in ("nan", "inf")]
+                + [(name, "-1" if name == "seed" else "0")
+                   for name, value in EVERY_SETTING.items() if type(value) is int]
+                + [("obs_frac", "1.5")])
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE)
+def test_out_of_range_settings_exit_one(tmp_path, capsys, name, value):
+    out = tmp_path / "inst.json"
+    code = main(["gen", "--app", "bqp", "--n", "4", "--k", "5",
+                 "--" + name.replace("_", "-"), value, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must ") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha-grid", "--beta-grid"])
+@pytest.mark.parametrize("grid", ["nan", "1:inf:3", "nan:1:3", "0.5,inf"])
+def test_non_finite_grid_exits_one(tmp_path, capsys, flag, grid):
+    out = tmp_path / "sweep"
+    assert main(["sweep", *BQP_SMALL, flag, grid, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad grid spec") and captured.out == ""
+    assert not out.exists()
+
+
 def test_none_and_off_switch_the_stopping_checks_off(tmp_path):
     path = tmp_path / "off.cfg"
     path.write_text("opt_eps = none\n")

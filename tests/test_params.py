@@ -112,10 +112,10 @@ def test_hadamard_shape_checked():
     p = SdpHadamard(1.0, 2.0, BlockShape(3, 1))
     with pytest.raises(ValueError):
         p.apply(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        SdpHadamard(0.0, 1.0, BlockShape(3, 1))
-    with pytest.raises(ValueError):
-        SdpHadamard(1.0, -2.0, BlockShape(3, 1))
+    for alpha, beta in ((0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.nan),
+                        (np.inf, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            SdpHadamard(alpha, beta, BlockShape(3, 1))
 
 
 def test_definiteness_invariance_check_accepts_hadamard():

@@ -17,7 +17,6 @@ from proxsplit.problems import (
     gen_bqp,
     gen_sr,
     load_instance,
-    mse,
     reference_solve,
     save_instance,
 )
@@ -148,15 +147,6 @@ def test_gen_sr_gives_up_when_separation_is_impossible():
     # gap to be exactly 1/10, which random draws never hit
     with pytest.raises(RuntimeError):
         gen_sr(10, 10, 1.0, 0.8, 0, max_tries=200)
-
-
-def test_mse_is_per_entry_squared_distance():
-    rng = np.random.default_rng(41)
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    want = np.linalg.norm(x - y) ** 2 / 16
-    assert mse(x, y) == pytest.approx(want, rel=1e-14)
-    assert mse(x, x) == 0.0
 
 
 def test_save_load_bqp_roundtrip(tmp_path):

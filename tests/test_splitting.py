@@ -14,7 +14,6 @@ from proxsplit.splitting import (
     DivergenceError,
     RateBound,
     StopRule,
-    drs_fixed_point_map,
     estimate_cocoercivity,
     matched_admm_init,
     matched_pd_init,
@@ -88,12 +87,11 @@ def test_rate_check_accepts_compliant_trace_and_flags_violation():
     assert not rep_bad.ok and rep_bad.first_violation == 5
 
 
-def test_rate_check_slack_tolerates_marginal_rows():
+def test_rate_check_flags_marginal_rows():
     anchor = 1.0
     rows = [anchor / (k + 1) * 1.0000001 for k in range(10)]
     trace = ConvergenceTrace(fp_residual_sq=rows, anchor_sq=anchor)
     assert not rate_check(trace, RateBound(1.0, anchor)).ok
-    assert rate_check(trace, RateBound(1.0, anchor), rel_slack=1e-6).ok
 
 
 def test_estimate_cocoercivity_recovers_linear_contraction():
@@ -167,7 +165,13 @@ def test_four_algorithms_share_terminal_state():
 def test_drs_fixed_point_map_matches_runner():
     pair = small_sdp_pair(4, seed=2)
     param = Identity()
-    step = drs_fixed_point_map(pair, param)
+
+    def step(psi):
+        z = pair.g_prox(param, psi)
+        sz = param.apply(z)
+        x = pair.f_prox(param, 2.0 * sz - psi)
+        return param.apply(x) + psi - sz
+
     psi0 = random_hermitian(5, np.random.default_rng(9))
     psi1 = step(psi0)
     manual = step(psi1)

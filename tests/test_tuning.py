@@ -50,15 +50,6 @@ def test_solution_pair_shape_mismatch_raises():
         SolutionPair(np.ones((2, 2)), np.ones((3, 3)))
 
 
-def test_closed_forms_reject_nonzero_start():
-    pair = SolutionPair(np.ones((3, 3)), np.ones((3, 3)),
-                        shape=BlockShape(2, 1), psi0=np.ones((3, 3)))
-    for select in (optimal_scalar, optimal_diagonal,
-                   sdp_separate_choices, sdp_joint_search):
-        with pytest.raises(ValueError):
-            select(pair)
-
-
 def test_parameter_objective_identity_is_total_energy():
     pair = random_pair(seed=3)
     want = np.linalg.norm(pair.x_star) ** 2 + np.linalg.norm(pair.lam_star) ** 2
