@@ -1,13 +1,14 @@
 """Experiment driver.
 
-Subcommands: ``run`` (one parametrized solve with trace, summary and
-reference artifacts), ``sweep`` (iteration counts over a parameter grid),
-``protocol`` (the app's iteration-count table: identity, a-priori estimates
-and reference-based optima), ``ratecheck`` (empirical cocoercivity level and
-decay-bound audit of a run), ``gen`` (instance generation to a reusable
-file). Configuration comes from flat key=value files overridden by
-command-line flags; the ``PROXSPLIT_SEED`` environment variable supplies the
-seed when neither source does.
+Subcommands: ``run`` (one parametrized solve with trace, summary, reference
+and decay-bound audit artifacts), ``sweep`` (iteration counts over a
+parameter grid), ``protocol`` (the app's iteration-count table: identity,
+a-priori estimates and reference-based optima), ``gen`` (instance generation
+to a reusable file). Every solve is DRS from a zero governing iterate; the
+equivalent ADMM and primal-dual forms are library API in ``splitting``.
+Configuration comes from flat key=value files overridden by command-line
+flags; the ``PROXSPLIT_SEED`` environment variable supplies the seed when
+neither source does.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -26,9 +27,8 @@ import numpy as np
 from .params import Identity, OperatorParam, Scalar, SdpHadamard
 from .problems import (BqpInstance, _encode_array, build_prox_pair, gen_bqp, gen_sr,
                        load_instance, reference_solve, save_instance)
-from .splitting import (RateBound, StopRule, estimate_cocoercivity, rate_check, run_admm,
-                        run_drs, run_pd, run_pdf, matched_admm_init, matched_pd_init,
-                        matched_pdf_init, sharp_rate_factor)
+from .splitting import (RateBound, StopRule, estimate_cocoercivity, rate_check, run_drs,
+                        sharp_rate_factor)
 from .tuning import (SolutionPair, acceleration_gain, bqp_estimate, bqp_protocol_params,
                      optimal_scalar, sdp_joint_search, sdp_separate_choices, sr_estimate,
                      sr_protocol_params)
@@ -39,7 +39,6 @@ PROTOCOL_SCHEMA = "proxsplit-protocol v1"
 RATECHECK_SCHEMA = "proxsplit-ratecheck v1"
 
 APPS = ("bqp", "sr")
-ALGOS = ("drs", "admm", "pd", "pdf")
 PARAM_MODES = ("identity", "scalar-opt", "sdp-separate-alpha", "sdp-separate-beta",
                "sdp-joint-opt", "estimate", "manual")
 
@@ -67,7 +66,6 @@ class ExperimentConfig:
     param_mode: str = "estimate"
     alpha: float | None = None
     beta: float | None = None
-    algo: str = "drs"
     mse_eps: float | None = 1e-6
     opt_eps: float | None = None
     max_iters: int = 100_000
@@ -109,7 +107,7 @@ class ExperimentConfig:
 
 
 #: the value sets of the settings that take one of a few names
-_CHOICES = {"app": APPS, "param_mode": PARAM_MODES, "algo": ALGOS}
+_CHOICES = {"app": APPS, "param_mode": PARAM_MODES}
 #: the only settings that ``none`` or ``off`` switches off
 _SWITCHABLE = {"mse_eps", "opt_eps"}
 #: every setting by name, with the type its text converts to
@@ -120,7 +118,10 @@ _TYPES = {name: (get_args(hint) or (hint,))[0]
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
     raw: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -215,21 +216,9 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
     raise ConfigError(f"param-mode {mode!r} is not runnable here")
 
 
-def solve(pair, param, algo: str, stop: StopRule, psi_hook=None):
-    """Run the chosen algorithm from a zero governing iterate (matched starts)."""
-    psi0 = pair.zeros()
-    if algo == "drs":
-        return run_drs(pair, param, psi0, stop, psi_hook)
-    if algo == "admm":
-        z0, lam0 = matched_admm_init(pair, param, psi0)
-        return run_admm(pair, param, z0, lam0, stop, psi_hook)
-    if algo == "pdf":
-        psi0, lam0 = matched_pdf_init(pair, param, psi0)
-        return run_pdf(pair, param, psi0, lam0, stop, psi_hook)
-    if algo == "pd":
-        x0, lam_prev, lam0 = matched_pd_init(pair, param, psi0)
-        return run_pd(pair, param, x0, lam_prev, lam0, stop, psi_hook)
-    raise ConfigError(f"unknown algo {algo!r}")
+def solve(pair, param, stop: StopRule, psi_hook=None):
+    """Run DRS from a zero governing iterate."""
+    return run_drs(pair, param, pair.zeros(), stop, psi_hook)
 
 
 def _write_json(path, doc) -> None:
@@ -238,11 +227,16 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _reference_doc(ref) -> dict:
-    return {"schema": "proxsplit-reference v1",
-            "iterations": ref.iterations, "residual": ref.residual,
-            "converged": ref.converged, "param": ref.param_config,
-            "x_ref": _encode_array(ref.x_ref), "lam_ref": _encode_array(ref.lam_ref)}
+def _outdir(cfg: ExperimentConfig, ref) -> Path:
+    """Create ``cfg.out`` and write the reference artifact into it."""
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "reference.json",
+                {"schema": "proxsplit-reference v1",
+                 "iterations": ref.iterations, "residual": ref.residual,
+                 "converged": ref.converged, "param": ref.param_config,
+                 "x_ref": _encode_array(ref.x_ref), "lam_ref": _encode_array(ref.lam_ref)})
+    return outdir
 
 
 def _prepare(cfg: ExperimentConfig):
@@ -264,15 +258,33 @@ def _mse_stop(cfg: ExperimentConfig, ref) -> StopRule:
                     mse_eps=cfg.mse_eps, reference=ref.x_ref)
 
 
+def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
+    """The trace of a run to the MSE stop per parameter, in order, on ``cfg.jobs`` threads."""
+    stop = _mse_stop(cfg, ref)
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        return list(pool.map(lambda param: solve(pair, param, stop)[1], params))
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     inst, pair, ref, ref_pair = _prepare(cfg)
     param = make_param(cfg, inst, ref_pair)
-    state, trace = solve(pair, param, cfg.algo, _mse_stop(cfg, ref))
+    snaps = [pair.zeros()]
+
+    def hook(k, psi):
+        if k <= 32:
+            snaps.append(psi.copy())
+
+    _, trace = solve(pair, param, _mse_stop(cfg, ref), hook)
+    try:
+        l_hat = estimate_cocoercivity(zip(snaps, snaps[1:]))
+    except ValueError:  # fewer than two steps, or none moved: no level to estimate
+        l_hat = None
+    basic = rate_check(trace, RateBound(1.0, trace.anchor_sq))
+    sharp = None if l_hat is None else rate_check(trace, RateBound(l_hat, trace.anchor_sq))
     gain = acceleration_gain(param, ref_pair)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg, ref)
     trace.write_csv(outdir / "trace.csv")
-    summary = {"schema": SUMMARY_SCHEMA, "app": cfg.app, "algo": cfg.algo,
+    summary = {"schema": SUMMARY_SCHEMA, "app": cfg.app, "algo": "drs",
                "param_mode": cfg.param_mode, "param": param.to_config(),
                "seed": cfg.seed, "n": inst.n, "k": inst.k,
                "iterations": trace.iterations, "converged": trace.converged,
@@ -286,10 +298,18 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                "reference": {"iterations": ref.iterations, "residual": ref.residual,
                              "converged": ref.converged, "param": ref.param_config}}
     _write_json(outdir / "summary.json", summary)
-    _write_json(outdir / "reference.json", _reference_doc(ref))
-    print(f"{cfg.app}/{cfg.algo} {cfg.param_mode}: {trace.iterations} iterations, "
+    _write_json(outdir / "ratecheck.json",
+                {"schema": RATECHECK_SCHEMA, "app": cfg.app, "algo": "drs",
+                 "param_mode": cfg.param_mode, "iterations": trace.iterations,
+                 "l_hat": l_hat, "approximate_fixed_point": True, "basic": asdict(basic),
+                 "sharp": None if sharp is None else asdict(sharp),
+                 "calibration": {"l": 0.99, "k20": sharp_rate_factor(0.99, 20),
+                                 "k100": sharp_rate_factor(0.99, 100)}})
+    print(f"{cfg.app}/drs {cfg.param_mode}: {trace.iterations} iterations, "
           f"stop={trace.stop_reason}, final_mse={summary['final_mse']}")
-    return 0 if trace.converged else 2
+    print(f"l_hat={'n/a' if l_hat is None else f'{l_hat:.6g}'}, basic bound ok={basic.ok}, "
+          f"sharp bound ok={'n/a' if sharp is None else sharp.ok}")
+    return 0 if trace.converged and basic.ok else 2
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -318,25 +338,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     betas = _parse_grid(cfg.beta_grid) if cfg.beta_grid else np.array([1.0])
     inst, pair, ref, _ = _prepare(cfg)
     cells = [(float(a), float(b)) for a in alphas for b in betas]
-
-    def run_cell(cell):
-        a, b = cell
-        _, trace = solve(pair, SdpHadamard(a, b, inst.shape), cfg.algo, _mse_stop(cfg, ref))
-        final_mse = None if trace.mse is None else trace.mse[-1]
-        return trace.iterations, final_mse
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        results = list(pool.map(run_cell, cells))
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "sweep.csv"
+    traces = _solve_rows(cfg, pair, ref, [SdpHadamard(a, b, inst.shape) for a, b in cells])
+    path = _outdir(cfg, ref) / "sweep.csv"
     with open(path, "w") as fh:
         fh.write(f"# {SWEEP_SCHEMA}\n")
         fh.write("alpha,beta,iterations,final_mse\n")
-        for (a, b), (iters, final_mse) in zip(cells, results):
-            mse_cell = "" if final_mse is None else repr(final_mse)
-            fh.write(f"{a!r},{b!r},{iters},{mse_cell}\n")
-    _write_json(outdir / "reference.json", _reference_doc(ref))
+        for (a, b), trace in zip(cells, traces):
+            mse_cell = "" if trace.mse is None else repr(trace.mse[-1])
+            fh.write(f"{a!r},{b!r},{trace.iterations},{mse_cell}\n")
     print(f"swept {len(cells)} cells -> {path}")
     return 0
 
@@ -344,59 +353,24 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def cmd_protocol(cfg: ExperimentConfig) -> int:
     inst, pair, ref, ref_pair = _prepare(cfg)
     params = protocol_params(inst, ref_pair)
-    traces = {mode: solve(pair, param, cfg.algo, _mse_stop(cfg, ref))[1]
-              for mode, param in params.items()}
-    base = traces["identity"].iterations
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "protocol.csv"
-    print(f"{cfg.app}/{cfg.algo} protocol (n={inst.n}, k={inst.k}, seed={cfg.seed}); "
+    traces = _solve_rows(cfg, pair, ref, params.values())
+    base = traces[0].iterations
+    path = _outdir(cfg, ref) / "protocol.csv"
+    print(f"{cfg.app}/drs protocol (n={inst.n}, k={inst.k}, seed={cfg.seed}); "
           f"reference: {ref.iterations} iterations, residual {ref.residual:.2e}")
     print(f"\n{'mode':<12}{'iterations':>12}{'speedup':>10}{'xi':>12}  parameter")
     with open(path, "w") as fh:
         fh.write(f"# {PROTOCOL_SCHEMA}\n")
         fh.write("mode,iterations,speedup,xi,converged\n")
-        for mode, param in params.items():
-            trace = traces[mode]
+        for (mode, param), trace in zip(params.items(), traces):
             iters, ok = trace.iterations, trace.converged
             speedup, xi = base / iters, acceleration_gain(param, ref_pair).xi
             fh.write(f"{mode},{iters},{speedup!r},{xi!r},{ok}\n")
             flag = "" if ok else "  (hit cap)"
             print(f"{mode:<12}{iters:>12}{speedup:>10.1f}{xi:>12.4g}  "
                   f"{param.to_config()}{flag}")
-    _write_json(outdir / "reference.json", _reference_doc(ref))
     print(f"\nwrote {path}")
-    return 0 if all(trace.converged for trace in traces.values()) else 2
-
-
-def cmd_ratecheck(cfg: ExperimentConfig) -> int:
-    inst, pair, ref, ref_pair = _prepare(cfg)
-    param = make_param(cfg, inst, ref_pair)
-    snaps = [pair.zeros()]
-
-    def hook(k, psi):
-        if k <= 32:
-            snaps.append(psi.copy())
-
-    state, trace = solve(pair, param, cfg.algo, _mse_stop(cfg, ref), psi_hook=hook)
-    l_hat = estimate_cocoercivity([(snaps[i], snaps[i + 1]) for i in range(len(snaps) - 1)])
-    basic = rate_check(trace, RateBound(1.0, trace.anchor_sq))
-    sharp = rate_check(trace, RateBound(l_hat, trace.anchor_sq))
-    doc = {"schema": RATECHECK_SCHEMA, "app": cfg.app, "algo": cfg.algo,
-           "param_mode": cfg.param_mode, "iterations": trace.iterations,
-           "l_hat": l_hat, "approximate_fixed_point": True,
-           "basic": {"ok": basic.ok, "first_violation": basic.first_violation,
-                     "checked": basic.checked},
-           "sharp": {"ok": sharp.ok, "first_violation": sharp.first_violation,
-                     "checked": sharp.checked},
-           "calibration": {"l": 0.99,
-                           "k20": sharp_rate_factor(0.99, 20),
-                           "k100": sharp_rate_factor(0.99, 100)}}
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "ratecheck.json", doc)
-    print(f"l_hat={l_hat:.6g}, basic bound ok={basic.ok}, sharp bound ok={sharp.ok}")
-    return 0 if basic.ok else 2
+    return 0 if all(trace.converged for trace in traces) else 2
 
 
 def cmd_gen(cfg: ExperimentConfig) -> int:
@@ -405,7 +379,7 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     save_instance(inst, out)
-    print(f"wrote {cfg.app} instance (n={inst.n}, k={inst.k}, seed={cfg.seed}) to {out}")
+    print(f"wrote {cfg.app} instance (n={inst.n}, k={inst.k}, seed={inst.seed}) to {out}")
     return 0
 
 
@@ -414,10 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Parametrized splitting experiments "
                                                  "on block-structured SDPs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (("run", "single parametrized solve with artifacts"),
+    for name, descr in (("run", "single parametrized solve with artifacts and rate audit"),
                         ("sweep", "iteration counts over a parameter grid"),
                         ("protocol", "the app's iteration-count table"),
-                        ("ratecheck", "decay-bound audit of a run"),
                         ("gen", "write a problem instance file")):
         sp = sub.add_parser(name, help=descr)
         for name in _TYPES:
@@ -429,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    commands = {"run": cmd_run, "sweep": cmd_sweep, "protocol": cmd_protocol,
-                "ratecheck": cmd_ratecheck, "gen": cmd_gen}
+    commands = {"run": cmd_run, "sweep": cmd_sweep, "protocol": cmd_protocol, "gen": cmd_gen}
     try:
         cfg = resolve_config(args)
         return commands[args.command](cfg)

@@ -236,35 +236,52 @@ def _checked_array(doc: dict, key: str, shape: tuple | None) -> np.ndarray:
     return a
 
 
+def _checked_number(doc: dict, key: str, high: float = np.inf) -> float:
+    """``doc[key]``; require a finite number in ``(0, high]``."""
+    val = doc[key]
+    if type(val) not in (int, float) or not (0.0 < val <= high and np.isfinite(val)):
+        raise ValueError(f"instance field {key!r} must be a finite number in (0, {high:g}], "
+                         f"got {val!r}")
+    return float(val)
+
+
 def load_instance(path):
     """Rebuild a saved instance, restoring every array verbatim.
 
     Raises ``ValueError`` for a foreign document, a non-finite array or one
-    whose shape disagrees with the stored ``n`` and ``k``.
+    whose shape disagrees with the stored ``n`` and ``k``, a noise level or
+    observed fraction out of range, a negative seed or repeated ``omega``
+    indices.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance file must hold a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != INSTANCE_SCHEMA:
         raise ValueError(f"unrecognized instance schema: {doc.get('schema')!r}")
-    n, k = doc["n"], doc["k"]
+    n, k, seed = doc["n"], doc["k"], doc["seed"]
     if not all(type(d) is int and d >= 1 for d in (n, k)):
         raise ValueError(f"instance dimensions must be positive integers, got n={n!r}, k={k!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"instance seed must be an integer >= 0, got {seed!r}")
     g_f = _checked_array(doc, "g_f", (n + 1, n + 1))
     if doc["kind"] == "bqp":
         return BqpInstance(a=_checked_array(doc, "a", (k, n)),
                            b=_checked_array(doc, "b", (k,)), g_f=g_f,
-                           shape=BlockShape(n, 1), seed=doc["seed"],
-                           sigma_a=doc["sigma_a"], sigma_b=doc["sigma_b"])
+                           shape=BlockShape(n, 1), seed=seed,
+                           sigma_a=_checked_number(doc, "sigma_a"),
+                           sigma_b=_checked_number(doc, "sigma_b"))
     if doc["kind"] == "sr":
         omega = _checked_array(doc, "omega", None)
         if (omega.ndim != 1 or not np.issubdtype(omega.dtype, np.integer)
-                or np.any((omega < 0) | (omega >= n))):
-            raise ValueError(f"instance array 'omega' must list integer indices in [0, {n})")
+                or np.any((omega < 0) | (omega >= n)) or np.unique(omega).size != omega.size):
+            raise ValueError(f"instance array 'omega' must list distinct integer indices "
+                             f"in [0, {n})")
         return SrInstance(n=n, k=k, taus=_checked_array(doc, "taus", (k,)),
                           c=_checked_array(doc, "c", (k,)),
                           x_star=_checked_array(doc, "x_star", (n,)),
-                          omega=omega, g_f=g_f,
-                          sigma=doc["sigma"], obs_frac=doc["obs_frac"], seed=doc["seed"])
+                          omega=omega, g_f=g_f, sigma=_checked_number(doc, "sigma"),
+                          obs_frac=_checked_number(doc, "obs_frac", 1.0), seed=seed)
     raise ValueError(f"unknown instance kind: {doc['kind']!r}")
 
 

@@ -141,17 +141,6 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
     return SplitState(x=x, z=z, lam=lam, psi=psi), trace
 
 
-def _drs_update(pair: ProxPair, param: OperatorParam, psi: np.ndarray):
-    """One governing-sequence update (g-prox, reflect, f-prox, average).
-
-    Returns ``(z, S z, x, psi_next)``.
-    """
-    z = pair.g_prox(param, psi)
-    sz = param.apply(z)
-    x = pair.f_prox(param, 2.0 * sz - psi)
-    return z, sz, x, param.apply(x) + psi - sz
-
-
 def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
             psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
     """Two-point recursion on the governing sequence.
@@ -162,7 +151,10 @@ def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRu
 
     def steps(psi):
         while True:
-            z, sz, x, psi_next = _drs_update(pair, param, psi)
+            z = pair.g_prox(param, psi)
+            sz = param.apply(z)
+            x = pair.f_prox(param, 2.0 * sz - psi)
+            psi_next = param.apply(x) + psi - sz
             # only the terminal dual is kept: yield what it is made of
             yield x, z, (psi, sz), psi_next
             psi = psi_next

@@ -114,12 +114,18 @@ def test_sweep_rows_iterate_beta_fastest(tmp_path):
     assert cells == [(0.5, 1.0), (0.5, 3.0), (2.0, 1.0), (2.0, 3.0)]
 
 
-def test_sweep_thread_count_does_not_change_output(tmp_path):
-    args = ["sweep", *BQP_SMALL, "--alpha-grid", "0.3:3:3", "--beta-grid", "0.5,2"]
+@pytest.mark.parametrize("command", ["sweep", "protocol"])
+def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, command):
+    args = [command, *BQP_SMALL]
+    if command == "sweep":
+        args += ["--alpha-grid", "0.3:3:3", "--beta-grid", "0.5,2"]
     out1, out2 = tmp_path / "serial", tmp_path / "pool"
     assert main([*args, "--jobs", "1", "--out", str(out1)]) == 0
+    serial = capsys.readouterr().out
     assert main([*args, "--jobs", "2", "--out", str(out2)]) == 0
-    assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
+    assert capsys.readouterr().out == serial.replace(str(out1), str(out2))
+    for name in (f"{command}.csv", "reference.json"):
+        assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
 def test_alpha_sweep_has_a_single_trough(tmp_path):
@@ -173,11 +179,11 @@ def test_protocol_hitting_the_cap_exits_two(tmp_path):
 
 def test_ratecheck_report(tmp_path):
     out = tmp_path / "rc"
-    code = main(["ratecheck", *BQP_SMALL, "--param-mode", "estimate",
-                 "--out", str(out)])
+    code = main(["run", *BQP_SMALL, "--param-mode", "estimate", "--out", str(out)])
     assert code == 0
     doc = json.loads((out / "ratecheck.json").read_text())
     assert doc["schema"] == "proxsplit-ratecheck v1"
+    assert doc["iterations"] == json.loads((out / "summary.json").read_text())["iterations"]
     assert doc["basic"]["ok"] is True
     assert doc["basic"]["first_violation"] is None
     assert doc["basic"]["checked"] == doc["iterations"]
@@ -192,7 +198,17 @@ def test_ratecheck_report(tmp_path):
     assert doc["calibration"]["k100"] == pytest.approx(0.0031, rel=2e-2)
 
 
-def test_gen_matches_in_process_generators(tmp_path):
+def test_one_step_run_reports_no_cocoercivity_level(tmp_path, capsys):
+    # a single step gives one sample pair, too few to estimate a level from
+    out = tmp_path / "one"
+    assert main(["run", *BQP_SMALL, "--max-iters", "1", "--out", str(out)]) == 2
+    doc = json.loads((out / "ratecheck.json").read_text())
+    assert doc["iterations"] == 1 and doc["l_hat"] is None and doc["sharp"] is None
+    assert doc["basic"]["checked"] == 1
+    assert "l_hat=n/a" in capsys.readouterr().out
+
+
+def test_gen_matches_in_process_generators(tmp_path, capsys):
     bqp_path = tmp_path / "bqp.json"
     assert main(["gen", "--app", "bqp", "--n", "7", "--k", "9", "--seed", "4",
                  "--out", str(bqp_path)]) == 0
@@ -200,6 +216,12 @@ def test_gen_matches_in_process_generators(tmp_path):
     direct = gen_bqp(7, 9, 0.05, 1.0, 4)
     assert np.array_equal(inst.a, direct.a)
     assert np.array_equal(inst.b, direct.b)
+    # a copy through --instance reports the seed the file holds
+    capsys.readouterr()
+    assert main(["gen", "--app", "bqp", "--instance", str(bqp_path),
+                 "--out", str(tmp_path / "copy.json")]) == 0
+    assert "seed=4" in capsys.readouterr().out
+    assert (tmp_path / "copy.json").read_text() == bqp_path.read_text()
 
     sr_path = tmp_path / "sr.json"
     assert main(["gen", "--app", "sr", "--n", "16", "--k", "3", "--seed", "4",
@@ -230,23 +252,45 @@ def _nan_entry(doc):
     doc["a"]["data"][0][0] = float("nan")
 
 
-@pytest.mark.parametrize("spoil", [
-    None,
-    lambda doc: doc.update(schema="x"),
-    _nan_entry,
-    lambda doc: doc.update(b={"shape": [3], "dtype": "float", "data": [0.0] * 3}),
-    lambda doc: doc.update(a=[1.0]),
-], ids=["missing", "schema", "nan", "shape", "malformed"])
-def test_bad_instance_file_exits_one(tmp_path, capsys, spoil):
+def _repeated_omega(doc):
+    doc["omega"]["data"][1] = doc["omega"]["data"][0]
+
+
+# (id, small instance, spoil); the spoil returns the document to write, or None
+# for the one it edited in place
+BAD_INSTANCES = [
+    ("missing", BQP_SMALL, None),
+    ("schema", BQP_SMALL, lambda doc: doc.update(schema="x")),
+    ("nan", BQP_SMALL, _nan_entry),
+    ("shape", BQP_SMALL, lambda doc: doc.update(b={"shape": [3], "dtype": "float",
+                                                   "data": [0.0] * 3})),
+    ("malformed", BQP_SMALL, lambda doc: doc.update(a=[1.0])),
+    ("list", BQP_SMALL, lambda doc: [doc]),
+    ("sigma-a-zero", BQP_SMALL, lambda doc: doc.update(sigma_a=0.0)),
+    ("sigma-b-bool", BQP_SMALL, lambda doc: doc.update(sigma_b=True)),
+    ("seed-negative", BQP_SMALL, lambda doc: doc.update(seed=-1)),
+    ("seed-bool", BQP_SMALL, lambda doc: doc.update(seed=True)),
+    ("seed-float", BQP_SMALL, lambda doc: doc.update(seed=5.0)),
+    ("sr-sigma-nan", SR_SMALL, lambda doc: doc.update(sigma=float("nan"))),
+    ("sr-sigma-negative", SR_SMALL, lambda doc: doc.update(sigma=-1)),
+    ("sr-sigma-text", SR_SMALL, lambda doc: doc.update(sigma="x")),
+    ("sr-obs-frac-above-one", SR_SMALL, lambda doc: doc.update(obs_frac=1.5)),
+    ("sr-obs-frac-zero", SR_SMALL, lambda doc: doc.update(obs_frac=0)),
+    ("sr-omega-repeated", SR_SMALL, _repeated_omega),
+]
+
+
+@pytest.mark.parametrize("small, spoil", [case[1:] for case in BAD_INSTANCES],
+                         ids=[case[0] for case in BAD_INSTANCES])
+def test_bad_instance_file_exits_one(tmp_path, capsys, small, spoil):
     path = tmp_path / "inst.json"
     if spoil is not None:
-        assert main(["gen", *BQP_SMALL, "--out", str(path)]) == 0
+        assert main(["gen", *small, "--out", str(path)]) == 0
         doc = json.loads(path.read_text())
-        spoil(doc)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(spoil(doc) or doc))
     capsys.readouterr()
     out = tmp_path / "out"
-    assert main(["run", "--app", "bqp", "--instance", str(path), "--out", str(out)]) == 1
+    assert main(["run", *small[:2], "--instance", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: cannot load instance")
     assert not out.exists()
 
@@ -271,7 +315,20 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "param-mode" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "ratecheck", "protocol"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_unreadable_config_file_exits_one(tmp_path, capsys, kind):
+    path = tmp_path / "exp.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfeapp = bqp\n")
+    out = tmp_path / "out"
+    assert main(["run", *BQP_SMALL, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "protocol"])
 def test_unconverged_reference_exits_two(tmp_path, capsys, command):
     out = tmp_path / command
     extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
@@ -352,22 +409,11 @@ def test_config_file_merges_under_flags(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
-def test_other_algorithms_run_through_the_driver(tmp_path):
-    iters = {}
-    for algo in ("drs", "admm", "pd", "pdf"):
-        out = tmp_path / algo
-        assert main(["run", *BQP_SMALL, "--param-mode", "estimate",
-                     "--algo", algo, "--out", str(out)]) == 0
-        iters[algo] = json.loads((out / "summary.json").read_text())["iterations"]
-    # matched starts make every formulation stop at the same step
-    assert len(set(iters.values())) == 1
-
-
-COMMANDS = ("run", "sweep", "protocol", "ratecheck", "gen")
+COMMANDS = ("run", "sweep", "protocol", "gen")
 # one valid, non-default value per setting; the key set must track ExperimentConfig
 EVERY_SETTING = {"app": "sr", "n": 12, "k": 3, "sigma_a": 0.1, "sigma_b": 2.0,
                  "sigma": 1.5, "obs_frac": 0.5, "seed": 7, "param_mode": "manual",
-                 "alpha": 0.5, "beta": 2.0, "algo": "pdf", "mse_eps": 1e-5,
+                 "alpha": 0.5, "beta": 2.0, "mse_eps": 1e-5,
                  "opt_eps": 1e-9, "max_iters": 50, "ref_eps": 1e-9, "ref_max_iters": 60,
                  "out": "o", "jobs": 2, "alpha_grid": "1,2", "beta_grid": "0.5:2:3",
                  "instance": "i.json"}

@@ -162,7 +162,7 @@ def test_four_algorithms_share_terminal_state():
             rtol=0, atol=1e-10, err_msg=name)
 
 
-def test_drs_fixed_point_map_matches_runner():
+def test_run_drs_follows_the_two_point_recursion():
     pair = small_sdp_pair(4, seed=2)
     param = Identity()
 
