@@ -1,14 +1,14 @@
 """Experiment driver.
 
-Subcommands: ``run`` (one parametrized solve with trace, summary, reference
-and decay-bound audit artifacts), ``sweep`` (iteration counts over a
-parameter grid), ``protocol`` (the app's iteration-count table: identity,
-a-priori estimates and reference-based optima), ``gen`` (instance generation
-to a reusable file). Every solve is DRS from a zero governing iterate; the
-equivalent ADMM and primal-dual forms are library API in ``splitting``.
-Configuration comes from flat key=value files overridden by command-line
-flags; the ``PROXSPLIT_SEED`` environment variable supplies the seed when
-neither source does.
+Subcommands: ``run`` (one parametrized solve with trace, summary and
+reference artifacts; the summary holds the trace's decay-bound audit),
+``sweep`` (iteration counts over a parameter grid), ``protocol`` (the app's
+iteration-count table: identity, a-priori estimates and reference-based
+optima), ``gen`` (instance generation to a reusable file). Every solve is
+DRS from a zero governing iterate; the equivalent ADMM and primal-dual forms
+are library API in ``splitting``. Configuration comes from flat key=value
+files overridden by command-line flags; the ``PROXSPLIT_SEED`` environment
+variable supplies the seed when neither source does.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ import numpy as np
 from .params import Identity, OperatorParam, Scalar, SdpHadamard
 from .problems import (BqpInstance, _encode_array, build_prox_pair, gen_bqp, gen_sr,
                        load_instance, reference_solve, save_instance)
-from .splitting import (RateBound, StopRule, estimate_cocoercivity, rate_check, run_drs,
-                        sharp_rate_factor)
+from .splitting import RateBound, StopRule, rate_check, run_drs
 from .tuning import (SolutionPair, acceleration_gain, bqp_estimate, bqp_protocol_params,
                      optimal_scalar, sdp_joint_search, sdp_separate_choices, sr_estimate,
                      sr_protocol_params)
 
-SUMMARY_SCHEMA = "proxsplit-summary v1"
+SUMMARY_SCHEMA = "proxsplit-summary v2"
 SWEEP_SCHEMA = "proxsplit-sweep v1"
 PROTOCOL_SCHEMA = "proxsplit-protocol v1"
-RATECHECK_SCHEMA = "proxsplit-ratecheck v1"
 
 APPS = ("bqp", "sr")
 PARAM_MODES = ("identity", "scalar-opt", "sdp-separate-alpha", "sdp-separate-beta",
@@ -216,9 +214,9 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
     raise ConfigError(f"param-mode {mode!r} is not runnable here")
 
 
-def solve(pair, param, stop: StopRule, psi_hook=None):
+def solve(pair, param, stop: StopRule):
     """Run DRS from a zero governing iterate."""
-    return run_drs(pair, param, pair.zeros(), stop, psi_hook)
+    return run_drs(pair, param, pair.zeros(), stop)
 
 
 def _write_json(path, doc) -> None:
@@ -230,12 +228,15 @@ def _write_json(path, doc) -> None:
 def _outdir(cfg: ExperimentConfig, ref) -> Path:
     """Create ``cfg.out`` and write the reference artifact into it."""
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "reference.json",
-                {"schema": "proxsplit-reference v1",
-                 "iterations": ref.iterations, "residual": ref.residual,
-                 "converged": ref.converged, "param": ref.param_config,
-                 "x_ref": _encode_array(ref.x_ref), "lam_ref": _encode_array(ref.lam_ref)})
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_json(outdir / "reference.json",
+                    {"schema": "proxsplit-reference v1",
+                     "iterations": ref.iterations, "residual": ref.residual,
+                     "converged": ref.converged, "param": ref.param_config,
+                     "x_ref": _encode_array(ref.x_ref), "lam_ref": _encode_array(ref.lam_ref)})
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {cfg.out}: {exc}") from exc
     return outdir
 
 
@@ -252,35 +253,29 @@ def _prepare(cfg: ExperimentConfig):
     return inst, pair, ref, ref_pair
 
 
-def _mse_stop(cfg: ExperimentConfig, ref) -> StopRule:
-    """Stop at MSE ``cfg.mse_eps`` against the reference, or at the configured caps."""
-    return StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
+def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
+    """The trace of a run per parameter, in order, on ``cfg.jobs`` threads.
+
+    Each run stops at MSE ``cfg.mse_eps`` against the reference, or at the
+    configured caps.
+    """
+    stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
                     mse_eps=cfg.mse_eps, reference=ref.x_ref)
 
+    def row(param):
+        return solve(pair, param, stop)[1]
 
-def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
-    """The trace of a run to the MSE stop per parameter, in order, on ``cfg.jobs`` threads."""
-    stop = _mse_stop(cfg, ref)
+    if cfg.jobs == 1:  # in the main thread, so that Ctrl-C stops a long row at once
+        return list(map(row, params))
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(lambda param: solve(pair, param, stop)[1], params))
+        return list(pool.map(row, params))
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     inst, pair, ref, ref_pair = _prepare(cfg)
     param = make_param(cfg, inst, ref_pair)
-    snaps = [pair.zeros()]
-
-    def hook(k, psi):
-        if k <= 32:
-            snaps.append(psi.copy())
-
-    _, trace = solve(pair, param, _mse_stop(cfg, ref), hook)
-    try:
-        l_hat = estimate_cocoercivity(zip(snaps, snaps[1:]))
-    except ValueError:  # fewer than two steps, or none moved: no level to estimate
-        l_hat = None
-    basic = rate_check(trace, RateBound(1.0, trace.anchor_sq))
-    sharp = None if l_hat is None else rate_check(trace, RateBound(l_hat, trace.anchor_sq))
+    trace = _solve_rows(cfg, pair, ref, [param])[0]
+    check = rate_check(trace, RateBound(1.0, trace.anchor_sq))
     gain = acceleration_gain(param, ref_pair)
     outdir = _outdir(cfg, ref)
     trace.write_csv(outdir / "trace.csv")
@@ -296,20 +291,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                "xi": gain.xi, "xi_numerator": gain.numerator,
                "xi_denominator": gain.denominator,
                "reference": {"iterations": ref.iterations, "residual": ref.residual,
-                             "converged": ref.converged, "param": ref.param_config}}
+                             "converged": ref.converged, "param": ref.param_config},
+               "rate_check": asdict(check)}
     _write_json(outdir / "summary.json", summary)
-    _write_json(outdir / "ratecheck.json",
-                {"schema": RATECHECK_SCHEMA, "app": cfg.app, "algo": "drs",
-                 "param_mode": cfg.param_mode, "iterations": trace.iterations,
-                 "l_hat": l_hat, "approximate_fixed_point": True, "basic": asdict(basic),
-                 "sharp": None if sharp is None else asdict(sharp),
-                 "calibration": {"l": 0.99, "k20": sharp_rate_factor(0.99, 20),
-                                 "k100": sharp_rate_factor(0.99, 100)}})
     print(f"{cfg.app}/drs {cfg.param_mode}: {trace.iterations} iterations, "
-          f"stop={trace.stop_reason}, final_mse={summary['final_mse']}")
-    print(f"l_hat={'n/a' if l_hat is None else f'{l_hat:.6g}'}, basic bound ok={basic.ok}, "
-          f"sharp bound ok={'n/a' if sharp is None else sharp.ok}")
-    return 0 if trace.converged and basic.ok else 2
+          f"stop={trace.stop_reason}, final_mse={summary['final_mse']}, rate bound ok={check.ok}")
+    return 0 if trace.converged and check.ok else 2
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -376,9 +363,11 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
 def cmd_gen(cfg: ExperimentConfig) -> int:
     inst = make_instance(cfg)
     out = Path(cfg.out)
-    if out.parent != Path(""):
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
-    save_instance(inst, out)
+        save_instance(inst, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write instance to {out}: {exc}") from exc
     print(f"wrote {cfg.app} instance (n={inst.n}, k={inst.k}, seed={inst.seed}) to {out}")
     return 0
 

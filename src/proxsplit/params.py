@@ -99,42 +99,6 @@ class Scalar(OperatorParam):
         return f"Scalar({self.alpha!r})"
 
 
-class DiagonalEnergy(OperatorParam):
-    """Diagonal parameter ``Diag(sqrt(d))`` acting on vectors.
-
-    ``d`` collects per-coordinate energies; every entry must lie in
-    ``(0, d_max]`` so the action stays a well-conditioned bijection.
-    """
-
-    def __init__(self, d: np.ndarray, d_max: float = 1e8):
-        d = np.asarray(d, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise ValueError("d must be a non-empty vector")
-        if np.any(d <= 0.0) or np.any(d > d_max) or not np.all(np.isfinite(d)):
-            raise ValueError(f"diagonal energies must lie in (0, {d_max:g}]")
-        self.d = d
-        self.d_max = float(d_max)
-        self._sqrt_d = np.sqrt(d)
-
-    def _check(self, v):
-        v = np.asarray(v)
-        if v.shape != self.d.shape:
-            raise ValueError(f"expected vector of shape {self.d.shape}, got {v.shape}")
-        return v
-
-    def apply(self, v):
-        return self._sqrt_d * self._check(v)
-
-    def inverse(self, v):
-        return self._check(v) / self._sqrt_d
-
-    def to_config(self):
-        return {"kind": "diagonal", "d": [float(x) for x in self.d]}
-
-    def __repr__(self):
-        return f"DiagonalEnergy(d=<{self.d.size} entries>)"
-
-
 @dataclass(frozen=True, eq=False)
 class SdpHadamard(OperatorParam):
     """Two-parameter Hadamard weighting adapted to a 2x2 block partition.
@@ -228,8 +192,6 @@ def param_from_config(cfg: dict) -> OperatorParam:
         return Identity()
     if kind == "scalar":
         return Scalar(float(cfg["alpha"]))
-    if kind == "diagonal":
-        return DiagonalEnergy(np.asarray(cfg["d"], dtype=float))
     if kind == "sdp-hadamard":
         return SdpHadamard(float(cfg["alpha"]), float(cfg["beta"]),
                            BlockShape(int(cfg["N"]), int(cfg["K"])))

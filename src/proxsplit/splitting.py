@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frob_inner, frob_norm
+from .linalg import frob_norm
 from .params import OperatorParam
 from .prox import ProxPair
 
@@ -311,30 +311,3 @@ def rate_check(trace: ConvergenceTrace, bound: RateBound) -> RateReport:
             break
     return RateReport(first is None, first, trace.iterations)
 
-
-def estimate_cocoercivity(pairs) -> float:
-    """Empirical inverse cocoercivity level of a map from (input, output) samples.
-
-    Maximizes ``||F y1 - F y2||^2 / <F y1 - F y2, y1 - y2>`` over sample
-    pairs, skipping degenerate denominators, and clamps into ``(0, 1]``.
-    Enlarging the sample can only increase the estimate.
-    """
-    samples = [(np.asarray(y), np.asarray(fy)) for y, fy in pairs]
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    best = 0.0
-    found = False
-    for i in range(len(samples)):
-        yi, fyi = samples[i]
-        for j in range(i + 1, len(samples)):
-            yj, fyj = samples[j]
-            df = fyi - fyj
-            num = float(np.real(np.vdot(df, df)))
-            den = frob_inner(df, yi - yj)
-            if den <= 1e-300:
-                continue
-            found = True
-            best = max(best, num / den)
-    if not found:
-        raise ValueError("all sample pairs were degenerate")
-    return float(np.clip(best, 1e-16, 1.0))

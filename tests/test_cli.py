@@ -6,11 +6,13 @@ config merging and artifact layout exactly as a shell user would hit them.
 """
 
 import json
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import proxsplit.cli as cli
 from proxsplit.cli import ExperimentConfig, build_parser, main, resolve_config
 from proxsplit.params import param_from_config
 from proxsplit.problems import _decode_array, gen_bqp, gen_sr, load_instance
@@ -39,7 +41,7 @@ def test_run_writes_artifacts_and_gain_invariant(tmp_path):
 
     rows = read_rows(out / "trace.csv")
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["schema"] == "proxsplit-summary v1"
+    assert summary["schema"] == "proxsplit-summary v2"
     assert summary["app"] == "bqp" and summary["algo"] == "drs"
     assert summary["param_mode"] == "estimate"
     assert summary["seed"] == 5 and summary["n"] == 6 and summary["k"] == 8
@@ -128,6 +130,21 @@ def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, command):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
+@pytest.mark.parametrize("jobs, main_thread", [("1", True), ("2", False)])
+def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, jobs, main_thread):
+    # a solve in a worker thread holds Ctrl-C off until it returns
+    seen = []
+    solve = cli.solve
+
+    def recording_solve(*args):
+        seen.append(threading.current_thread() is threading.main_thread())
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    assert main(["run", *BQP_SMALL, "--jobs", jobs, "--out", str(tmp_path / "run")]) == 0
+    assert seen == [main_thread]
+
+
 def test_alpha_sweep_has_a_single_trough(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--app", "bqp", "--n", "8", "--k", "10", "--seed", "3",
@@ -177,35 +194,28 @@ def test_protocol_hitting_the_cap_exits_two(tmp_path):
     assert all(row[1] == "5" and row[4] == "False" for row in rows)
 
 
-def test_ratecheck_report(tmp_path):
-    out = tmp_path / "rc"
-    code = main(["run", *BQP_SMALL, "--param-mode", "estimate", "--out", str(out)])
-    assert code == 0
-    doc = json.loads((out / "ratecheck.json").read_text())
-    assert doc["schema"] == "proxsplit-ratecheck v1"
-    assert doc["iterations"] == json.loads((out / "summary.json").read_text())["iterations"]
-    assert doc["basic"]["ok"] is True
-    assert doc["basic"]["first_violation"] is None
-    assert doc["basic"]["checked"] == doc["iterations"]
-    assert 0.0 < doc["l_hat"] <= 1.0
-    assert doc["approximate_fixed_point"] is True
-    # the pinned calibration numbers follow the decay-factor formula
-    a = 0.99 / (2.0 - 0.99)
-    for key, k in (("k20", 20), ("k100", 100)):
-        want = a ** k * (1 - a) / (1 - a ** (k + 1))
-        assert doc["calibration"][key] == pytest.approx(want, rel=1e-12)
-    assert doc["calibration"]["k20"] == pytest.approx(0.0387, rel=2e-2)
-    assert doc["calibration"]["k100"] == pytest.approx(0.0031, rel=2e-2)
+@pytest.mark.parametrize("small, iterations", [(BQP_SMALL, 93), (SR_SMALL, 82)],
+                         ids=["bqp", "sr"])
+def test_estimate_run_matches_the_protocol_row(tmp_path, small, iterations):
+    # the est-joint counts pinned by test_protocol_iteration_counts
+    out = tmp_path / "est"
+    assert main(["run", *small, "--param-mode", "estimate", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == iterations
+    assert summary["rate_check"] == {"ok": True, "first_violation": None,
+                                     "checked": iterations}
+    assert sorted(path.name for path in out.iterdir()) == [
+        "reference.json", "summary.json", "trace.csv"]
 
 
-def test_one_step_run_reports_no_cocoercivity_level(tmp_path, capsys):
-    # a single step gives one sample pair, too few to estimate a level from
+def test_one_step_run_reports_no_cocoercivity_level(tmp_path):
+    # the summary carries only the audit against the basic bound, which at a
+    # single step checks one row; the capped run is not converged, so exit 2
     out = tmp_path / "one"
     assert main(["run", *BQP_SMALL, "--max-iters", "1", "--out", str(out)]) == 2
-    doc = json.loads((out / "ratecheck.json").read_text())
-    assert doc["iterations"] == 1 and doc["l_hat"] is None and doc["sharp"] is None
-    assert doc["basic"]["checked"] == 1
-    assert "l_hat=n/a" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == 1 and summary["converged"] is False
+    assert summary["rate_check"]["checked"] == 1
 
 
 def test_gen_matches_in_process_generators(tmp_path, capsys):
@@ -336,6 +346,20 @@ def test_unconverged_reference_exits_two(tmp_path, capsys, command):
     assert code == 2
     assert "reference did not converge" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, where", [
+    ("gen", "under_file"), ("gen", "directory"), ("run", "under_file"), ("run", "file"),
+    ("sweep", "under_file"), ("protocol", "under_file")])
+def test_unwritable_out_exits_one(tmp_path, capsys, command, where):
+    (tmp_path / "file").write_text("not a directory\n")
+    out = {"under_file": tmp_path / "file" / "sub", "file": tmp_path / "file",
+           "directory": tmp_path}[where]
+    extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
+    assert main([command, *BQP_SMALL, *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", ["gen", "run", "sweep", "protocol"])

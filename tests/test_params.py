@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from proxsplit.linalg import frob_inner, random_hermitian
 from proxsplit.params import (
     BlockShape,
-    DiagonalEnergy,
     Identity,
     OperatorParam,
     Scalar,
@@ -140,30 +139,6 @@ def test_scalar_invariance_tracks_sign():
     assert not Scalar(-2.0).is_definiteness_invariant
     with pytest.raises(ValueError):
         Scalar(0.0)
-
-
-def test_diagonal_energy_validation():
-    with pytest.raises(ValueError):
-        DiagonalEnergy(np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        DiagonalEnergy(np.array([1.0, 1e12]))
-    with pytest.raises(ValueError):
-        DiagonalEnergy(np.eye(2))
-    p = DiagonalEnergy(np.array([2.0, 1.0, 4.0]))
-    # vector-space parameter: not a matrix Hadamard grid, not cone-safe
-    assert not p.is_entrywise
-    assert not p.is_definiteness_invariant
-
-
-def test_diagonal_energy_acts_as_root_diagonal():
-    d = np.array([4.0, 9.0, 0.25])
-    p = DiagonalEnergy(d)
-    v = RNG.standard_normal(3)
-    np.testing.assert_allclose(p.apply(v), np.sqrt(d) * v, atol=1e-15)
-    np.testing.assert_allclose(p.inverse(p.apply(v)), v, atol=1e-13)
-    np.testing.assert_allclose(p.gram_inverse(v), v / d, atol=1e-13)
-    rebuilt = param_from_config(p.to_config())
-    np.testing.assert_allclose(rebuilt.apply(v), p.apply(v), atol=1e-15)
 
 
 def test_adjoint_inverse_view_swaps_roles():

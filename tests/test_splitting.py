@@ -14,7 +14,6 @@ from proxsplit.splitting import (
     DivergenceError,
     RateBound,
     StopRule,
-    estimate_cocoercivity,
     matched_admm_init,
     matched_pd_init,
     matched_pdf_init,
@@ -25,8 +24,6 @@ from proxsplit.splitting import (
     run_pdf,
     sharp_rate_factor,
 )
-
-RNG = np.random.default_rng(55)
 
 
 def small_sdp_pair(n, seed):
@@ -92,20 +89,6 @@ def test_rate_check_flags_marginal_rows():
     rows = [anchor / (k + 1) * 1.0000001 for k in range(10)]
     trace = ConvergenceTrace(fp_residual_sq=rows, anchor_sq=anchor)
     assert not rate_check(trace, RateBound(1.0, anchor)).ok
-
-
-def test_estimate_cocoercivity_recovers_linear_contraction():
-    # For T = c * identity the defining ratio is exactly c on every pair.
-    c = 0.7
-    samples = [(y, c * y) for y in RNG.standard_normal((20, 6))]
-    assert estimate_cocoercivity(samples) == pytest.approx(c, rel=1e-12)
-
-
-def test_estimate_cocoercivity_is_clamped_to_one():
-    samples = [(np.array([1.0]), np.array([3.0])), (np.array([0.0]), np.array([0.0]))]
-    assert estimate_cocoercivity(samples) == 1.0
-    with pytest.raises(ValueError):
-        estimate_cocoercivity([(np.array([1.0]), np.array([1.0]))])
 
 
 def test_stop_rule_reason_priorities():
