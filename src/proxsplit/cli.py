@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -219,8 +220,17 @@ def solve(pair, param, stop: StopRule):
     return run_drs(pair, param, pair.zeros(), stop)
 
 
+@contextmanager
+def _writing(path):
+    """An ``OSError`` while writing ``path`` is a configuration error, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -228,15 +238,13 @@ def _write_json(path, doc) -> None:
 def _outdir(cfg: ExperimentConfig, ref) -> Path:
     """Create ``cfg.out`` and write the reference artifact into it."""
     outdir = Path(cfg.out)
-    try:
+    with _writing(f"to --out {cfg.out}"):
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "reference.json",
-                    {"schema": "proxsplit-reference v1",
-                     "iterations": ref.iterations, "residual": ref.residual,
-                     "converged": ref.converged, "param": ref.param_config,
-                     "x_ref": _encode_array(ref.x_ref), "lam_ref": _encode_array(ref.lam_ref)})
-    except OSError as exc:
-        raise ConfigError(f"cannot write to --out {cfg.out}: {exc}") from exc
+    _write_json(outdir / "reference.json",
+                {"schema": "proxsplit-reference v1",
+                 "iterations": ref.iterations, "residual": ref.residual,
+                 "converged": ref.converged, "param": ref.param_config,
+                 "x_ref": _encode_array(ref.x_ref), "lam_ref": _encode_array(ref.lam_ref)})
     return outdir
 
 
@@ -278,7 +286,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     check = rate_check(trace, RateBound(1.0, trace.anchor_sq))
     gain = acceleration_gain(param, ref_pair)
     outdir = _outdir(cfg, ref)
-    trace.write_csv(outdir / "trace.csv")
+    with _writing(outdir / "trace.csv"):
+        trace.write_csv(outdir / "trace.csv")
     summary = {"schema": SUMMARY_SCHEMA, "app": cfg.app, "algo": "drs",
                "param_mode": cfg.param_mode, "param": param.to_config(),
                "seed": cfg.seed, "n": inst.n, "k": inst.k,
@@ -327,7 +336,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     cells = [(float(a), float(b)) for a in alphas for b in betas]
     traces = _solve_rows(cfg, pair, ref, [SdpHadamard(a, b, inst.shape) for a, b in cells])
     path = _outdir(cfg, ref) / "sweep.csv"
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(f"# {SWEEP_SCHEMA}\n")
         fh.write("alpha,beta,iterations,final_mse\n")
         for (a, b), trace in zip(cells, traces):
@@ -346,16 +355,16 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     print(f"{cfg.app}/drs protocol (n={inst.n}, k={inst.k}, seed={cfg.seed}); "
           f"reference: {ref.iterations} iterations, residual {ref.residual:.2e}")
     print(f"\n{'mode':<12}{'iterations':>12}{'speedup':>10}{'xi':>12}  parameter")
-    with open(path, "w") as fh:
-        fh.write(f"# {PROTOCOL_SCHEMA}\n")
-        fh.write("mode,iterations,speedup,xi,converged\n")
-        for (mode, param), trace in zip(params.items(), traces):
-            iters, ok = trace.iterations, trace.converged
-            speedup, xi = base / iters, acceleration_gain(param, ref_pair).xi
-            fh.write(f"{mode},{iters},{speedup!r},{xi!r},{ok}\n")
-            flag = "" if ok else "  (hit cap)"
-            print(f"{mode:<12}{iters:>12}{speedup:>10.1f}{xi:>12.4g}  "
-                  f"{param.to_config()}{flag}")
+    lines = [f"# {PROTOCOL_SCHEMA}\n", "mode,iterations,speedup,xi,converged\n"]
+    for (mode, param), trace in zip(params.items(), traces):
+        iters, ok = trace.iterations, trace.converged
+        speedup, xi = base / iters, acceleration_gain(param, ref_pair).xi
+        lines.append(f"{mode},{iters},{speedup!r},{xi!r},{ok}\n")
+        flag = "" if ok else "  (hit cap)"
+        print(f"{mode:<12}{iters:>12}{speedup:>10.1f}{xi:>12.4g}  "
+              f"{param.to_config()}{flag}")
+    with _writing(path), open(path, "w") as fh:
+        fh.writelines(lines)
     print(f"\nwrote {path}")
     return 0 if all(trace.converged for trace in traces) else 2
 
@@ -363,11 +372,9 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
 def cmd_gen(cfg: ExperimentConfig) -> int:
     inst = make_instance(cfg)
     out = Path(cfg.out)
-    try:
+    with _writing(f"instance to {out}"):
         out.parent.mkdir(parents=True, exist_ok=True)
         save_instance(inst, out)
-    except OSError as exc:
-        raise ConfigError(f"cannot write instance to {out}: {exc}") from exc
     print(f"wrote {cfg.app} instance (n={inst.n}, k={inst.k}, seed={inst.seed}) to {out}")
     return 0
 

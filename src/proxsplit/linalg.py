@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import cython_lapack
+import scipy
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -48,6 +52,24 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
+@functools.cache
+def _lapack_capsules() -> dict:
+    """``scipy.linalg.cython_lapack``'s capsules without ``scipy/linalg/__init__.py`` (0.3 s).
+
+    Cython puts the module in ``sys.modules`` as it loads; dropping that entry lets a later
+    import bind it as ``scipy.linalg.cython_lapack``. Without its file: the package import.
+    """
+    name = "scipy.linalg.cython_lapack"
+    spec = None if name in sys.modules else importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        return importlib.import_module(name).__pyx_capi__
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module.__pyx_capi__
+
+
 def _capsule_function(name: str, n_chars: int, n_args: int):
     """LAPACK routine ``name`` from scipy's Cython capsule table as a ctypes function.
 
@@ -55,7 +77,7 @@ def _capsule_function(name: str, n_chars: int, n_args: int):
     argument is a pointer. A ``CFUNCTYPE`` call releases the GIL while LAPACK
     runs, which the f2py wrappers behind ``scipy.linalg.eigh`` do not.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = _lapack_capsules()[name]
     address = _capsule_pointer(capsule, _capsule_name(capsule))
     prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * n_chars,
                                  *[ctypes.c_void_p] * (n_args - n_chars))

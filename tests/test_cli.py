@@ -350,11 +350,14 @@ def test_unconverged_reference_exits_two(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, where", [
     ("gen", "under_file"), ("gen", "directory"), ("run", "under_file"), ("run", "file"),
-    ("sweep", "under_file"), ("protocol", "under_file")])
+    ("sweep", "under_file"), ("protocol", "under_file"), ("run", "trace.csv"),
+    ("run", "summary.json"), ("sweep", "sweep.csv"), ("protocol", "protocol.csv")])
 def test_unwritable_out_exits_one(tmp_path, capsys, command, where):
     (tmp_path / "file").write_text("not a directory\n")
     out = {"under_file": tmp_path / "file" / "sub", "file": tmp_path / "file",
-           "directory": tmp_path}[where]
+           "directory": tmp_path}.get(where, tmp_path / "blocked")
+    if where.endswith((".csv", ".json")):  # an artifact blocked by a directory of its name
+        (out / where).mkdir(parents=True)
     extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
     assert main([command, *BQP_SMALL, *extra, "--out", str(out)]) == 1
     err = capsys.readouterr().err
