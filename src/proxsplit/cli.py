@@ -290,7 +290,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         trace.write_csv(outdir / "trace.csv")
     summary = {"schema": SUMMARY_SCHEMA, "app": cfg.app, "algo": "drs",
                "param_mode": cfg.param_mode, "param": param.to_config(),
-               "seed": cfg.seed, "n": inst.n, "k": inst.k,
+               "seed": inst.seed, "n": inst.n, "k": inst.k,
                "iterations": trace.iterations, "converged": trace.converged,
                "stop_reason": trace.stop_reason,
                "final_mse": None if trace.mse is None else trace.mse[-1],
@@ -352,7 +352,7 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     traces = _solve_rows(cfg, pair, ref, params.values())
     base = traces[0].iterations
     path = _outdir(cfg, ref) / "protocol.csv"
-    print(f"{cfg.app}/drs protocol (n={inst.n}, k={inst.k}, seed={cfg.seed}); "
+    print(f"{cfg.app}/drs protocol (n={inst.n}, k={inst.k}, seed={inst.seed}); "
           f"reference: {ref.iterations} iterations, residual {ref.residual:.2e}")
     print(f"\n{'mode':<12}{'iterations':>12}{'speedup':>10}{'xi':>12}  parameter")
     lines = [f"# {PROTOCOL_SCHEMA}\n", "mode,iterations,speedup,xi,converged\n"]

@@ -67,16 +67,6 @@ class SrInstance:
         """Average spike magnitude."""
         return float(np.mean(np.abs(self.c)))
 
-    @property
-    def t_star(self) -> float:
-        """Total spike magnitude: the lifted solution's trailing entry."""
-        return float(np.sum(np.abs(self.c)))
-
-    @property
-    def u_star(self) -> np.ndarray:
-        """Diagonal coordinates of the lifted solution's Toeplitz block."""
-        return np.exp(-2j * np.pi * np.outer(np.arange(self.n), self.taus)) @ np.abs(self.c)
-
 
 def bqp_objective(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Lifted linear objective matrix of ``||a x - b||^2`` (constant term dropped)."""

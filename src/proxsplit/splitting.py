@@ -89,7 +89,7 @@ class ConvergenceTrace:
         """Write the trace with a versioned header comment."""
         with open(path, "w", newline="") as fh:
             fh.write(f"# {TRACE_SCHEMA}\n")
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "fp_residual_sq", "opt_residual", "mse", "elapsed_ms"])
             for k in range(self.iterations):
                 mse_cell = "" if self.mse is None else repr(self.mse[k])

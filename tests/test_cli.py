@@ -208,6 +208,32 @@ def test_estimate_run_matches_the_protocol_row(tmp_path, small, iterations):
         "reference.json", "summary.json", "trace.csv"]
 
 
+# The reference-based modes; on BQP_SMALL their counts are the opt-alpha,
+# opt-alpha, opt-beta and opt-joint rows of test_protocol_iteration_counts.
+@pytest.mark.parametrize("small, mode, iterations", [
+    (BQP_SMALL, "scalar-opt", 150), (BQP_SMALL, "sdp-separate-alpha", 150),
+    (BQP_SMALL, "sdp-separate-beta", 743), (BQP_SMALL, "sdp-joint-opt", 97),
+    (SR_SMALL, "scalar-opt", 120), (SR_SMALL, "sdp-separate-alpha", 120),
+    (SR_SMALL, "sdp-separate-beta", 521), (SR_SMALL, "sdp-joint-opt", 66),
+], ids=lambda v: v[1] if isinstance(v, list) else None)
+def test_reference_param_modes_run(tmp_path, small, mode, iterations):
+    out = tmp_path / mode
+    assert main(["run", *small, "--param-mode", mode, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == iterations
+    assert summary["rate_check"]["ok"] is True
+
+
+@pytest.mark.parametrize("small", [BQP_SMALL, SR_SMALL], ids=["bqp", "sr"])
+def test_scalar_opt_is_the_separate_alpha_choice(tmp_path, small):
+    # SdpHadamard(alpha, 1) scales every entry by alpha, and the separate
+    # alpha choice is the optimal scalar, so both modes run the same operator
+    outs = [tmp_path / "scalar", tmp_path / "alpha"]
+    for mode, out in zip(("scalar-opt", "sdp-separate-alpha"), outs):
+        assert main(["run", *small, "--param-mode", mode, "--out", str(out)]) == 0
+    assert drop_timing(outs[0] / "trace.csv") == drop_timing(outs[1] / "trace.csv")
+
+
 def test_one_step_run_reports_no_cocoercivity_level(tmp_path):
     # the summary carries only the audit against the basic bound, which at a
     # single step checks one row; the capped run is not converged, so exit 2
@@ -243,7 +269,7 @@ def test_gen_matches_in_process_generators(tmp_path, capsys):
     assert np.array_equal(inst.omega, direct.omega)
 
 
-def test_run_on_saved_instance(tmp_path):
+def test_run_on_saved_instance(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     assert main(["gen", *BQP_SMALL, "--out", str(inst_path)]) == 0
     out_file = tmp_path / "file_run"
@@ -253,6 +279,12 @@ def test_run_on_saved_instance(tmp_path):
     assert main(["run", *BQP_SMALL, "--param-mode", "estimate",
                  "--out", str(out_fresh)]) == 0
     assert drop_timing(out_file / "trace.csv") == drop_timing(out_fresh / "trace.csv")
+    # run and protocol report the seed the file holds, not the --seed default of 0
+    assert json.loads((out_file / "summary.json").read_text())["seed"] == 5
+    capsys.readouterr()
+    assert main(["protocol", "--app", "bqp", "--instance", str(inst_path),
+                 "--out", str(tmp_path / "protocol")]) == 0
+    assert "seed=5)" in capsys.readouterr().out
     # the file pins the problem kind; asking for the other app is an error
     assert main(["run", "--app", "sr", "--instance", str(inst_path),
                  "--out", str(tmp_path / "bad")]) == 1

