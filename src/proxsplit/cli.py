@@ -7,15 +7,14 @@ iteration-count table: identity, a-priori estimates and reference-based
 optima), ``gen`` (instance generation to a reusable file). Every solve is
 DRS from a zero governing iterate; the equivalent ADMM and primal-dual forms
 are library API in ``splitting``. Configuration comes from flat key=value
-files overridden by command-line flags; the ``PROXSPLIT_SEED`` environment
-variable supplies the seed when neither source does.
+files overridden by command-line flags, so a run is fully determined by its
+flags and files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -25,21 +24,20 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .params import Identity, OperatorParam, Scalar, SdpHadamard
+from .params import Identity, OperatorParam, SdpHadamard
 from .problems import (BqpInstance, _encode_array, build_prox_pair, gen_bqp, gen_sr,
                        load_instance, reference_solve, save_instance)
 from .splitting import RateBound, StopRule, rate_check, run_drs
 from .tuning import (SolutionPair, acceleration_gain, bqp_estimate, bqp_protocol_params,
-                     optimal_scalar, sdp_joint_search, sdp_separate_choices, sr_estimate,
-                     sr_protocol_params)
+                     sdp_joint_search, sdp_separate_choices, sr_estimate, sr_protocol_params)
 
 SUMMARY_SCHEMA = "proxsplit-summary v2"
 SWEEP_SCHEMA = "proxsplit-sweep v1"
 PROTOCOL_SCHEMA = "proxsplit-protocol v1"
 
 APPS = ("bqp", "sr")
-PARAM_MODES = ("identity", "scalar-opt", "sdp-separate-alpha", "sdp-separate-beta",
-               "sdp-joint-opt", "estimate", "manual")
+PARAM_MODES = ("identity", "sdp-separate-alpha", "sdp-separate-beta", "sdp-joint-opt",
+               "estimate", "manual")
 
 
 class ConfigError(ValueError):
@@ -142,7 +140,7 @@ def _coerce(key: str, value: str):
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults, then config file, then flags; environment seed as fallback."""
+    """Defaults, then config file, then flags."""
     merged: dict = {}
     if args.config:
         file_cfg = read_config_file(args.config)
@@ -154,8 +152,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
-    if "seed" not in merged and os.environ.get("PROXSPLIT_SEED"):
-        merged["seed"] = os.environ["PROXSPLIT_SEED"]
     cfg = ExperimentConfig()
     for key, value in merged.items():
         setattr(cfg, key, _coerce(key, value))
@@ -173,12 +169,13 @@ def make_instance(cfg: ExperimentConfig):
         if kind != cfg.app:
             raise ConfigError(f"instance file holds a {kind} problem, but app={cfg.app}")
         return inst
-    if cfg.app == "bqp":
-        return gen_bqp(cfg.n, cfg.k, cfg.sigma_a, cfg.sigma_b, cfg.seed)
     try:
+        if cfg.app == "bqp":
+            return gen_bqp(cfg.n, cfg.k, cfg.sigma_a, cfg.sigma_b, cfg.seed)
         return gen_sr(cfg.n, cfg.k, cfg.sigma, cfg.obs_frac, cfg.seed)
     except (ValueError, RuntimeError) as exc:
-        raise ConfigError(f"cannot generate sr instance (n={cfg.n}, k={cfg.k}): {exc}") from exc
+        raise ConfigError(f"cannot generate {cfg.app} instance "
+                          f"(n={cfg.n}, k={cfg.k}): {exc}") from exc
 
 
 def estimate_param(inst) -> SdpHadamard:
@@ -204,8 +201,6 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
         return SdpHadamard(cfg.alpha, cfg.beta, shape)
     if mode == "estimate":
         return estimate_param(inst)
-    if mode == "scalar-opt":
-        return Scalar(optimal_scalar(ref_pair))
     if mode == "sdp-separate-alpha":
         return SdpHadamard(sdp_separate_choices(ref_pair)[0], 1.0, shape)
     if mode == "sdp-separate-beta":
@@ -251,8 +246,12 @@ def _outdir(cfg: ExperimentConfig, ref) -> Path:
 def _prepare(cfg: ExperimentConfig):
     inst = make_instance(cfg)
     pair = build_prox_pair(inst)
-    ref = reference_solve(pair, estimate_param(inst), opt_eps=cfg.ref_eps,
-                          max_iters=cfg.ref_max_iters)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the checks
+            ref_param = estimate_param(inst)
+    except ValueError as exc:
+        raise ConfigError(f"no a-priori parameter for this instance: {exc}") from exc
+    ref = reference_solve(pair, ref_param, opt_eps=cfg.ref_eps, max_iters=cfg.ref_max_iters)
     if not ref.converged:
         raise UnconvergedReference(
             f"reference did not converge: residual {ref.residual:.3g} > ref_eps "
@@ -389,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                         ("protocol", "the app's iteration-count table"),
                         ("gen", "write a problem instance file")):
         sp = sub.add_parser(name, help=descr)
-        for name in _TYPES:
-            sp.add_argument("--" + name.replace("_", "-"), dest=name,
-                            choices=_CHOICES.get(name))
+        for key in _TYPES:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            choices=_CHOICES.get(key))
         sp.add_argument("--config")
     return parser
 

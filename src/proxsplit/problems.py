@@ -81,13 +81,23 @@ def bqp_objective(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g
 
 
+def _check_finite(key: str, a: np.ndarray) -> None:
+    """Refuse instance array ``key`` when it holds an infinite or NaN entry."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"instance array {key!r} has non-finite entries")
+
+
 def gen_bqp(n: int, k: int, sigma_a: float, sigma_b: float, seed: int) -> BqpInstance:
-    """Random Boolean least-squares instance with Gaussian data."""
+    """Random Boolean least-squares instance with Gaussian data; ``ValueError`` if not finite."""
     if n < 1 or k < 1:
         raise ValueError("need positive dimensions")
-    a = gaussian_sample(k, n, sigma_a, [seed, 0])
-    b = gaussian_sample(k, 1, sigma_b, [seed, 1]).ravel()
-    return BqpInstance(a=a, b=b, g_f=bqp_objective(a, b), shape=BlockShape(n, 1),
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        a = gaussian_sample(k, n, sigma_a, [seed, 0])
+        b = gaussian_sample(k, 1, sigma_b, [seed, 1]).ravel()
+        g_f = bqp_objective(a, b)
+    for key, arr in (("a", a), ("b", b), ("g_f", g_f)):
+        _check_finite(key, arr)
+    return BqpInstance(a=a, b=b, g_f=g_f, shape=BlockShape(n, 1),
                        seed=seed, sigma_a=sigma_a, sigma_b=sigma_b)
 
 
@@ -102,7 +112,7 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int,
 
     Spike locations are drawn uniformly on the circle and redrawn until every
     circular gap is at least ``1/n``; amplitudes are real Gaussian; a fixed
-    fraction of the samples is observed.
+    fraction of the samples is observed. Non-finite data raise ``ValueError``.
     """
     if n < 1 or k < 1 or sigma <= 0:
         raise ValueError("need positive dimensions and amplitude scale")
@@ -119,6 +129,8 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int,
         raise RuntimeError("failed to draw separated spike locations")
     c = gaussian_sample(k, 1, sigma, [seed, 1]).ravel()
     x_star = np.exp(-2j * np.pi * np.outer(np.arange(n), taus)) @ c
+    for key, arr in (("c", c), ("x_star", x_star)):
+        _check_finite(key, arr)
     m = int(round(obs_frac * n))
     omega = np.sort(np.random.default_rng([seed, 2]).choice(n, size=m, replace=False))
     g_f = np.zeros((n + 1, n + 1))
@@ -221,8 +233,7 @@ def _checked_array(doc: dict, key: str, shape: tuple | None) -> np.ndarray:
     a = _decode_array(doc[key])
     if shape is not None and a.shape != shape:
         raise ValueError(f"instance array {key!r} has shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"instance array {key!r} has non-finite entries")
+    _check_finite(key, a)
     return a
 
 

@@ -78,12 +78,16 @@ class ConvergenceTrace:
     mse: list[float] | None = None
     elapsed_ms: list[float] = field(default_factory=list)
     anchor_sq: float = 0.0
-    converged: bool = False
     stop_reason: str = "max_iters"
 
     @property
     def iterations(self) -> int:
         return len(self.fp_residual_sq)
+
+    @property
+    def converged(self) -> bool:
+        """Whether a threshold, not the iteration cap, stopped the run."""
+        return self.stop_reason != "max_iters"
 
     def write_csv(self, path) -> None:
         """Write the trace with a versioned header comment."""
@@ -133,7 +137,6 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
             psi_hook(k + 1, psi)
         reason = stop.reason(opt_res, mse_val)
         if reason is not None:
-            trace.converged = True
             trace.stop_reason = reason
             break
         psi_prev = psi

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import frob_norm
 from .params import BlockShape, Identity, OperatorParam, SdpHadamard
+from .problems import bqp_objective
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,6 @@ class GridSpec:
 
     def values(self) -> np.ndarray:
         return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
-
-
-def parameter_objective(param: OperatorParam, pair: SolutionPair) -> float:
-    """Squared start distances of the primal and dual images under ``param``."""
-    pri = param.apply(pair.x_star)
-    dua = param.adjoint_inverse(pair.lam_star)
-    return float(np.real(np.vdot(pri, pri)) + np.real(np.vdot(dua, dua)))
 
 
 def optimal_scalar(pair: SolutionPair) -> float:
@@ -186,8 +180,6 @@ def bqp_regime(a: np.ndarray, b: np.ndarray, n: int) -> str:
     'small' when the objective matrix norm stays below the number of
     unknowns, else 'large'.
     """
-    from .problems import bqp_objective
-
     return "small" if frob_norm(bqp_objective(np.asarray(a), np.asarray(b))) < n else "large"
 
 
@@ -197,8 +189,6 @@ def bqp_separate_estimates(a: np.ndarray, b: np.ndarray, n: int) -> tuple[float,
     Derived from the solution energy envelopes: the dual energy tracks the
     objective matrix and the primal energy tracks the unit diagonal.
     """
-    from .problems import bqp_objective
-
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     g_norm = frob_norm(bqp_objective(a, b))

@@ -209,12 +209,12 @@ def test_estimate_run_matches_the_protocol_row(tmp_path, small, iterations):
 
 
 # The reference-based modes; on BQP_SMALL their counts are the opt-alpha,
-# opt-alpha, opt-beta and opt-joint rows of test_protocol_iteration_counts.
+# opt-beta and opt-joint rows of test_protocol_iteration_counts.
 @pytest.mark.parametrize("small, mode, iterations", [
-    (BQP_SMALL, "scalar-opt", 150), (BQP_SMALL, "sdp-separate-alpha", 150),
-    (BQP_SMALL, "sdp-separate-beta", 743), (BQP_SMALL, "sdp-joint-opt", 97),
-    (SR_SMALL, "scalar-opt", 120), (SR_SMALL, "sdp-separate-alpha", 120),
-    (SR_SMALL, "sdp-separate-beta", 521), (SR_SMALL, "sdp-joint-opt", 66),
+    (BQP_SMALL, "sdp-separate-alpha", 150), (BQP_SMALL, "sdp-separate-beta", 743),
+    (BQP_SMALL, "sdp-joint-opt", 97),
+    (SR_SMALL, "sdp-separate-alpha", 120), (SR_SMALL, "sdp-separate-beta", 521),
+    (SR_SMALL, "sdp-joint-opt", 66),
 ], ids=lambda v: v[1] if isinstance(v, list) else None)
 def test_reference_param_modes_run(tmp_path, small, mode, iterations):
     out = tmp_path / mode
@@ -222,16 +222,6 @@ def test_reference_param_modes_run(tmp_path, small, mode, iterations):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["iterations"] == iterations
     assert summary["rate_check"]["ok"] is True
-
-
-@pytest.mark.parametrize("small", [BQP_SMALL, SR_SMALL], ids=["bqp", "sr"])
-def test_scalar_opt_is_the_separate_alpha_choice(tmp_path, small):
-    # SdpHadamard(alpha, 1) scales every entry by alpha, and the separate
-    # alpha choice is the optimal scalar, so both modes run the same operator
-    outs = [tmp_path / "scalar", tmp_path / "alpha"]
-    for mode, out in zip(("scalar-opt", "sdp-separate-alpha"), outs):
-        assert main(["run", *small, "--param-mode", mode, "--out", str(out)]) == 0
-    assert drop_timing(outs[0] / "trace.csv") == drop_timing(outs[1] / "trace.csv")
 
 
 def test_one_step_run_reports_no_cocoercivity_level(tmp_path):
@@ -339,8 +329,9 @@ def test_bad_instance_file_exits_one(tmp_path, capsys, small, spoil):
 
 def test_config_errors_exit_one(tmp_path, capsys):
     out = str(tmp_path / "o")
-    # modes that are not runnable are usage errors: argparse exits with 2
-    for mode in ("diag-opt", "sweep"):
+    # modes that are not runnable are usage errors: argparse exits with 2;
+    # scalar-opt too: sdp-separate-alpha already runs the optimal scalar
+    for mode in ("diag-opt", "sweep", "scalar-opt"):
         with pytest.raises(SystemExit) as exc:
             main(["run", *BQP_SMALL, "--param-mode", mode, "--out", out])
         assert exc.value.code == 2
@@ -351,10 +342,11 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", *BQP_SMALL, "--alpha-grid", "0:5:3", "--out", out]) == 1
     assert main(["run", *BQP_SMALL, "--max-iters", "-3", "--out", out]) == 1
     # from a config file the same value is a configuration error
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("param_mode = sweep\n")
-    assert main(["run", *BQP_SMALL, "--config", str(cfg), "--out", out]) == 1
-    assert "param-mode" in capsys.readouterr().err
+    cfg = tmp_path / "mode.cfg"
+    for mode in ("sweep", "scalar-opt"):
+        cfg.write_text(f"param_mode = {mode}\n")
+        assert main(["run", *BQP_SMALL, "--config", str(cfg), "--out", out]) == 1
+        assert "param-mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
@@ -407,6 +399,25 @@ def test_more_sr_spikes_than_samples_exits_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen", "--sigma-a", "1e200"),
+    ("run", "--sigma-a", "1e200"), ("sweep", "--sigma-a", "1e200"),
+    ("protocol", "--sigma-a", "1e200"),
+    ("run", "--sigma-b", "1e300"), ("sweep", "--sigma-b", "1e300"),
+    ("protocol", "--sigma-b", "1e300")])
+def test_overflowing_bqp_data_exits_one(tmp_path, capsys, command, flag, value):
+    # finite noise levels whose objective matrix (sigma_a) or a-priori
+    # parameter (sigma_b) overflows
+    out = tmp_path / command
+    extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
+    code = main([command, "--app", "bqp", "--n", "4", "--k", "3", flag, value, *extra,
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unseparable_sr_spikes_exit_one(tmp_path, capsys):
     # two spikes at least 1/2 apart on the unit circle must be exactly antipodal,
     # so every random draw is rejected until the generator gives up
@@ -429,17 +440,12 @@ def test_hitting_the_cap_exits_two(tmp_path):
     assert summary["iterations"] == 5
 
 
-def test_environment_seed_is_a_fallback(tmp_path, monkeypatch):
+def test_environment_does_not_set_the_seed(tmp_path, monkeypatch):
+    # flags and config files are the only sources of settings
     monkeypatch.setenv("PROXSPLIT_SEED", "9")
-    env_path = tmp_path / "env.json"
-    assert main(["gen", "--app", "bqp", "--n", "5", "--k", "6",
-                 "--out", str(env_path)]) == 0
-    assert json.loads(env_path.read_text())["seed"] == 9
-
-    flag_path = tmp_path / "flag.json"
-    assert main(["gen", "--app", "bqp", "--n", "5", "--k", "6", "--seed", "4",
-                 "--out", str(flag_path)]) == 0
-    assert json.loads(flag_path.read_text())["seed"] == 4
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--app", "bqp", "--n", "5", "--k", "6", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["seed"] == 0
 
 
 def test_config_file_merges_under_flags(tmp_path):

@@ -24,7 +24,6 @@ from proxsplit.tuning import (
     joint_objective,
     optimal_diagonal,
     optimal_scalar,
-    parameter_objective,
     sdp_joint_search,
     sdp_separate_choices,
     sr_estimate,
@@ -45,23 +44,15 @@ def scalar_energy(alpha, x, lam):
             + np.linalg.norm(lam) ** 2 / alpha ** 2)
 
 
+def split_energy(param, pair):
+    """Independent objective: ||S x*||^2 + ||S^{-*} lam*||^2 for a parameter S."""
+    return (np.linalg.norm(param.apply(pair.x_star)) ** 2
+            + np.linalg.norm(param.adjoint_inverse(pair.lam_star)) ** 2)
+
+
 def test_solution_pair_shape_mismatch_raises():
     with pytest.raises(ValueError):
         SolutionPair(np.ones((2, 2)), np.ones((3, 3)))
-
-
-def test_parameter_objective_identity_is_total_energy():
-    pair = random_pair(seed=3)
-    want = np.linalg.norm(pair.x_star) ** 2 + np.linalg.norm(pair.lam_star) ** 2
-    assert parameter_objective(Identity(), pair) == pytest.approx(want, rel=1e-12)
-
-
-def test_parameter_objective_scalar_matches_manual_energy():
-    pair = random_pair(seed=4)
-    for alpha in (0.2, 1.0, 3.7):
-        got = parameter_objective(Scalar(alpha), pair)
-        want = scalar_energy(alpha, pair.x_star, pair.lam_star)
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_optimal_scalar_beats_dense_grid():
@@ -141,7 +132,7 @@ def test_joint_objective_equals_parameter_objective():
     for alpha, beta in [(0.3, 0.9), (1.0, 1.0), (2.5, 0.4), (7.0, 3.0)]:
         param = SdpHadamard(alpha, beta, pair.shape)
         assert joint_objective(alpha, beta, pair) == pytest.approx(
-            parameter_objective(param, pair), rel=1e-12)
+            split_energy(param, pair), rel=1e-12)
 
 
 def test_separate_choices_minimize_their_axes():
@@ -213,7 +204,7 @@ def test_acceleration_gain_matches_objective_ratio_when_orthogonal():
     assert frob_inner(x, lam) == 0.0
     pair = SolutionPair(x, lam, shape=BlockShape(n - 1, 1))
     param = SdpHadamard(0.6, 1.8, pair.shape)
-    ratio = parameter_objective(param, pair) / parameter_objective(Identity(), pair)
+    ratio = split_energy(param, pair) / split_energy(Identity(), pair)
     assert acceleration_gain(param, pair).xi == pytest.approx(ratio, rel=1e-12)
 
 
