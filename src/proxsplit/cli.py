@@ -27,11 +27,12 @@ import numpy as np
 from .params import Identity, OperatorParam, SdpHadamard
 from .problems import (BqpInstance, _encode_array, build_prox_pair, gen_bqp, gen_sr,
                        load_instance, reference_solve, save_instance)
-from .splitting import RateBound, StopRule, rate_check, run_drs
+from .splitting import DivergenceError, RateBound, StopRule, rate_check, run_drs
 from .tuning import (SolutionPair, acceleration_gain, bqp_estimate, bqp_protocol_params,
                      sdp_joint_search, sdp_separate_choices, sr_estimate, sr_protocol_params)
 
 SUMMARY_SCHEMA = "proxsplit-summary v2"
+TRACE_SCHEMA = "proxsplit-trace v1"
 SWEEP_SCHEMA = "proxsplit-sweep v1"
 PROTOCOL_SCHEMA = "proxsplit-protocol v1"
 
@@ -230,6 +231,13 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, schema: str, columns, rows) -> None:
+    """A ``# <schema>`` line, the column line, then one comma-joined line per row."""
+    with _writing(path), open(path, "w", newline="") as fh:
+        fh.write(f"# {schema}\n{','.join(columns)}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def _outdir(cfg: ExperimentConfig, ref) -> Path:
     """Create ``cfg.out`` and write the reference artifact into it."""
     outdir = Path(cfg.out)
@@ -261,7 +269,7 @@ def _prepare(cfg: ExperimentConfig):
 
 
 def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
-    """The trace of a run per parameter, in order, on ``cfg.jobs`` threads.
+    """The trace of a run per parameter, in order, on up to ``cfg.jobs`` threads.
 
     Each run stops at MSE ``cfg.mse_eps`` against the reference, or at the
     configured caps.
@@ -272,9 +280,10 @@ def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
     def row(param):
         return solve(pair, param, stop)[1]
 
-    if cfg.jobs == 1:  # in the main thread, so that Ctrl-C stops a long row at once
+    jobs = min(cfg.jobs, len(params))
+    if jobs == 1:  # in the calling thread, so that Ctrl-C stops a long row at once
         return list(map(row, params))
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(row, params))
 
 
@@ -282,17 +291,20 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     inst, pair, ref, ref_pair = _prepare(cfg)
     param = make_param(cfg, inst, ref_pair)
     trace = _solve_rows(cfg, pair, ref, [param])[0]
-    check = rate_check(trace, RateBound(1.0, trace.anchor_sq))
     gain = acceleration_gain(param, ref_pair)
+    # from a zero start the squared distance to the fixed point is the gain's numerator
+    check = rate_check(trace, RateBound(1.0, gain.numerator))
     outdir = _outdir(cfg, ref)
-    with _writing(outdir / "trace.csv"):
-        trace.write_csv(outdir / "trace.csv")
+    _write_csv(outdir / "trace.csv", TRACE_SCHEMA,
+               ("k", "fp_residual_sq", "opt_residual", "mse", "elapsed_ms"),
+               zip(range(trace.iterations), trace.fp_residual_sq, trace.opt_residual,
+                   trace.mse, trace.elapsed_ms))
     summary = {"schema": SUMMARY_SCHEMA, "app": cfg.app, "algo": "drs",
                "param_mode": cfg.param_mode, "param": param.to_config(),
                "seed": inst.seed, "n": inst.n, "k": inst.k,
                "iterations": trace.iterations, "converged": trace.converged,
                "stop_reason": trace.stop_reason,
-               "final_mse": None if trace.mse is None else trace.mse[-1],
+               "final_mse": trace.mse[-1],
                "final_opt_residual": trace.opt_residual[-1],
                "mse_eps": cfg.mse_eps, "opt_eps": cfg.opt_eps,
                "max_iters": cfg.max_iters,
@@ -335,12 +347,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     cells = [(float(a), float(b)) for a in alphas for b in betas]
     traces = _solve_rows(cfg, pair, ref, [SdpHadamard(a, b, inst.shape) for a, b in cells])
     path = _outdir(cfg, ref) / "sweep.csv"
-    with _writing(path), open(path, "w") as fh:
-        fh.write(f"# {SWEEP_SCHEMA}\n")
-        fh.write("alpha,beta,iterations,final_mse\n")
-        for (a, b), trace in zip(cells, traces):
-            mse_cell = "" if trace.mse is None else repr(trace.mse[-1])
-            fh.write(f"{a!r},{b!r},{trace.iterations},{mse_cell}\n")
+    _write_csv(path, SWEEP_SCHEMA, ("alpha", "beta", "iterations", "final_mse"),
+               [(a, b, trace.iterations, trace.mse[-1]) for (a, b), trace in zip(cells, traces)])
     print(f"swept {len(cells)} cells -> {path}")
     return 0
 
@@ -354,16 +362,15 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     print(f"{cfg.app}/drs protocol (n={inst.n}, k={inst.k}, seed={inst.seed}); "
           f"reference: {ref.iterations} iterations, residual {ref.residual:.2e}")
     print(f"\n{'mode':<12}{'iterations':>12}{'speedup':>10}{'xi':>12}  parameter")
-    lines = [f"# {PROTOCOL_SCHEMA}\n", "mode,iterations,speedup,xi,converged\n"]
+    rows = []
     for (mode, param), trace in zip(params.items(), traces):
         iters, ok = trace.iterations, trace.converged
         speedup, xi = base / iters, acceleration_gain(param, ref_pair).xi
-        lines.append(f"{mode},{iters},{speedup!r},{xi!r},{ok}\n")
+        rows.append((mode, iters, speedup, xi, ok))
         flag = "" if ok else "  (hit cap)"
         print(f"{mode:<12}{iters:>12}{speedup:>10.1f}{xi:>12.4g}  "
               f"{param.to_config()}{flag}")
-    with _writing(path), open(path, "w") as fh:
-        fh.writelines(lines)
+    _write_csv(path, PROTOCOL_SCHEMA, ("mode", "iterations", "speedup", "xi", "converged"), rows)
     print(f"\nwrote {path}")
     return 0 if all(trace.converged for trace in traces) else 2
 
@@ -401,12 +408,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return commands[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnconvergedReference as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, UnconvergedReference, DivergenceError) as exc:
+        what = "solve diverged: " if isinstance(exc, DivergenceError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

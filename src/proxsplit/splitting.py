@@ -10,7 +10,6 @@ they generate the same governing sequence up to roundoff.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -20,7 +19,6 @@ from .linalg import frob_norm
 from .params import OperatorParam
 from .prox import ProxPair
 
-TRACE_SCHEMA = "proxsplit-trace v1"
 DIVERGENCE_LIMIT = 1e12
 
 
@@ -88,18 +86,6 @@ class ConvergenceTrace:
     def converged(self) -> bool:
         """Whether a threshold, not the iteration cap, stopped the run."""
         return self.stop_reason != "max_iters"
-
-    def write_csv(self, path) -> None:
-        """Write the trace with a versioned header comment."""
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {TRACE_SCHEMA}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "fp_residual_sq", "opt_residual", "mse", "elapsed_ms"])
-            for k in range(self.iterations):
-                mse_cell = "" if self.mse is None else repr(self.mse[k])
-                writer.writerow([k, repr(self.fp_residual_sq[k]),
-                                 repr(self.opt_residual[k]), mse_cell,
-                                 repr(self.elapsed_ms[k])])
 
 
 def _run_loop(steps, psi: np.ndarray, stop: StopRule,
@@ -275,8 +261,9 @@ class RateBound:
     """Decay-rate certificate: cocoercivity level plus the squared start distance.
 
     ``anchor_sq`` is the squared distance from the first governing iterate to
-    a fixed point; in practice the final iterate stands in for the fixed
-    point, so a check against it is approximate.
+    a fixed point. The driver's ``run`` passes the exact one: from its zero
+    start, ``acceleration_gain(param, ref_pair).numerator``. A trace's own
+    ``anchor_sq``, the distance to its final iterate, only approximates it.
     """
 
     l_coco: float

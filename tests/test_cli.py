@@ -130,9 +130,12 @@ def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, command):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
-@pytest.mark.parametrize("jobs, main_thread", [("1", True), ("2", False)])
-def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, jobs, main_thread):
-    # a solve in a worker thread holds Ctrl-C off until it returns
+@pytest.mark.parametrize("command, jobs, main_thread", [
+    ("run", "1", True), ("run", "2", True), ("protocol", "2", False)])
+def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, command, jobs,
+                                                   main_thread):
+    # a solve in a worker thread holds Ctrl-C off until it returns, so a
+    # single row never goes to the pool, whatever --jobs says
     seen = []
     solve = cli.solve
 
@@ -141,8 +144,35 @@ def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, jobs, 
         return solve(*args)
 
     monkeypatch.setattr(cli, "solve", recording_solve)
-    assert main(["run", *BQP_SMALL, "--jobs", jobs, "--out", str(tmp_path / "run")]) == 0
-    assert seen == [main_thread]
+    assert main([command, *BQP_SMALL, "--jobs", jobs, "--out", str(tmp_path / "out")]) == 0
+    assert seen == [main_thread] * (1 if command == "run" else 7)
+
+
+# (file, schema line, column line, data rows at --max-iters 50) per command
+CSV_ARTIFACTS = {
+    "run": ("trace.csv", "# proxsplit-trace v1",
+            "k,fp_residual_sq,opt_residual,mse,elapsed_ms", 50),
+    "sweep": ("sweep.csv", "# proxsplit-sweep v1", "alpha,beta,iterations,final_mse", 2),
+    "protocol": ("protocol.csv", "# proxsplit-protocol v1",
+                 "mode,iterations,speedup,xi,converged", 7),
+}
+
+
+@pytest.mark.parametrize("command", CSV_ARTIFACTS)
+def test_csv_artifacts_share_one_layout(tmp_path, command):
+    name, schema, columns, count = CSV_ARTIFACTS[command]
+    out = tmp_path / command
+    extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
+    main([command, *BQP_SMALL, *extra, "--max-iters", "50", "--out", str(out)])
+    data = (out / name).read_bytes()
+    assert b"\r" not in data  # every line ends in "\n" alone
+    lines = data.decode().splitlines()
+    assert lines[:2] == [schema, columns]
+    assert len(lines) == 2 + count
+    # no cell is empty or quoted
+    for line in lines[2:]:
+        cells = line.split(",")
+        assert len(cells) == len(columns.split(",")) and all(cells) and '"' not in line
 
 
 def test_alpha_sweep_has_a_single_trough(tmp_path):
@@ -222,6 +252,23 @@ def test_reference_param_modes_run(tmp_path, small, mode, iterations):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["iterations"] == iterations
     assert summary["rate_check"]["ok"] is True
+
+
+def test_run_audits_against_the_exact_start_distance(tmp_path, monkeypatch):
+    # from a zero start the distance to the fixed point is the gain's numerator,
+    # not the distance to the run's last iterate
+    bounds = []
+    rate_check = cli.rate_check
+
+    def recording_rate_check(trace, bound):
+        bounds.append(bound)
+        return rate_check(trace, bound)
+
+    monkeypatch.setattr(cli, "rate_check", recording_rate_check)
+    out = tmp_path / "run"
+    assert main(["run", *SR_SMALL, "--param-mode", "sdp-joint-opt", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [(b.l_coco, b.anchor_sq) for b in bounds] == [(1.0, summary["xi_numerator"])]
 
 
 def test_one_step_run_reports_no_cocoercivity_level(tmp_path):
@@ -415,6 +462,19 @@ def test_overflowing_bqp_data_exits_one(tmp_path, capsys, command, flag, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "protocol"])
+def test_diverging_solve_exits_two(tmp_path, capsys, command):
+    # a solution whose norm exceeds splitting.DIVERGENCE_LIMIT stops the reference solve
+    out = tmp_path / command
+    extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
+    code = main([command, "--app", "sr", "--n", "12", "--k", "3", "--sigma", "1e300",
+                 *extra, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solve diverged: ") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,4 +1,3 @@
-import csv
 from functools import partial
 
 import numpy as np
@@ -9,7 +8,6 @@ from proxsplit.linalg import frob_norm, random_hermitian
 from proxsplit.params import BlockShape, Identity, SdpHadamard
 from proxsplit.prox import ProxPair, prox_linear_diag1, prox_psd_indicator
 from proxsplit.splitting import (
-    TRACE_SCHEMA,
     ConvergenceTrace,
     DivergenceError,
     RateBound,
@@ -228,35 +226,12 @@ def test_repeated_runs_are_bitwise_deterministic():
     assert t1.anchor_sq == t2.anchor_sq
 
 
-def test_trace_csv_layout(tmp_path):
-    pair = small_sdp_pair(4, seed=4)
-    _, trace = run_drs(pair, Identity(), pair.zeros(), StopRule(max_iters=5, opt_eps=None))
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    # every line ends in "\n", as in sweep.csv and protocol.csv
-    assert b"\r" not in path.read_bytes()
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"# {TRACE_SCHEMA}"
-    rows = list(csv.reader(lines[1:]))
-    assert rows[0] == ["k", "fp_residual_sq", "opt_residual", "mse", "elapsed_ms"]
-    assert len(rows) == 1 + 5
-    # no reference was given, so the mse column is empty
-    assert all(r[3] == "" for r in rows[1:])
-    # values round-trip exactly through repr
-    assert float(rows[1][1]) == trace.fp_residual_sq[0]
-
-
-def test_mse_stopping_uses_reference(tmp_path):
+def test_mse_stopping_uses_reference():
     pair = small_sdp_pair(5, seed=11)
     param = SdpHadamard(0.9, 1.2, BlockShape(5, 1))
-    _, long_trace = run_drs(pair, param, pair.zeros(), StopRule(max_iters=4000, opt_eps=1e-11))
     state, _ = run_drs(pair, param, pair.zeros(), StopRule(max_iters=4000, opt_eps=1e-11))
     ref = state.x
     stop = StopRule(max_iters=4000, opt_eps=None, mse_eps=1e-8, reference=ref)
     _, trace = run_drs(pair, param, pair.zeros(), stop)
     assert trace.converged and trace.stop_reason == "mse_eps"
     assert trace.mse is not None and trace.mse[-1] <= 1e-8
-    path = tmp_path / "t.csv"
-    trace.write_csv(path)
-    rows = list(csv.reader(path.read_text().splitlines()[2:]))
-    assert float(rows[0][3]) == trace.mse[0]
