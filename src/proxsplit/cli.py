@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -47,6 +48,10 @@ class ConfigError(ValueError):
 
 class UnconvergedReference(RuntimeError):
     """The reference solve hit its iteration cap, so no result can be measured against it."""
+
+
+class _Halted(Exception):
+    """Stops a row running on a worker thread once the other rows have failed or were interrupted."""
 
 
 @dataclass
@@ -211,9 +216,9 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
     raise ConfigError(f"param-mode {mode!r} is not runnable here")
 
 
-def solve(pair, param, stop: StopRule):
-    """Run DRS from a zero governing iterate."""
-    return run_drs(pair, param, pair.zeros(), stop)
+def solve(pair, param, stop: StopRule, psi_hook=None):
+    """Run DRS from a zero governing iterate; ``psi_hook`` as for ``run_drs``."""
+    return run_drs(pair, param, pair.zeros(), stop, psi_hook)
 
 
 @contextmanager
@@ -277,14 +282,23 @@ def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
     stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
                     mse_eps=cfg.mse_eps, reference=ref.x_ref)
 
-    def row(param):
-        return solve(pair, param, stop)[1]
-
     jobs = min(cfg.jobs, len(params))
     if jobs == 1:  # in the calling thread, so that Ctrl-C stops a long row at once
-        return list(map(row, params))
+        return [solve(pair, param, stop)[1] for param in params]
+    halt = threading.Event()
+
+    def halt_if_set(k, psi):
+        if halt.is_set():
+            raise _Halted
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(row, params))
+        futures = [pool.submit(solve, pair, param, stop, halt_if_set) for param in params]
+        try:
+            return [future.result()[1] for future in futures]
+        except BaseException:  # Ctrl-C or a failed row: drop the queued rows, stop the running
+            halt.set()
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:

@@ -13,6 +13,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 
 import numpy as np
 import scipy
@@ -98,14 +99,34 @@ _HEAD_BYTES = 64
 _INFO = 28
 
 
+class _Workspace:
+    """One thread's argument buffer for a plan: its address, the ``info`` slot and the ``"a"`` slot.
+
+    ``buf`` stays referenced here while LAPACK works on addresses into it.
+    """
+
+    def __init__(self, plan: "_Plan"):
+        self.buf = np.empty(plan.nbytes, dtype=np.uint8)
+        self.buf[:_HEAD_BYTES] = plan.head
+        # a third of the time ``buf.ctypes.data`` takes
+        self.base = ctypes.addressof(ctypes.c_char.from_buffer(self.buf))
+        self.info = ctypes.c_int.from_buffer(self.buf, _INFO)
+        self.a = plan.view(self.buf, "a", plan.dtype, plan.n * plan.n).reshape(plan.n, plan.n)
+
+    def args(self, chars: tuple[bytes, ...], arg_offsets) -> tuple:
+        """A call's arguments: ``chars``, then the addresses of ``arg_offsets`` in the buffer."""
+        return (*chars, *[self.base + off for off in arg_offsets])
+
+
 class _Plan:
     """Layout of a LAPACK call sequence's arguments inside one buffer, for one ``(n, dtype)``.
 
     The head's int and double slots are followed by named arrays, each 16-byte
     aligned; array ``"a"`` holds the C-ordered input ``h``, which LAPACK reads
     column by column, i.e. as ``conj(h)``. Arguments are byte offsets into the
-    buffer. A fresh buffer per call keeps concurrent calls independent and
-    costs a single pointer lookup.
+    buffer. Each thread gets its own buffer, made with the call arguments on
+    its first call, so concurrent calls stay independent; what ``eigenpairs``
+    returns points into it and is valid until that thread's next call.
     """
 
     def __init__(self, n: int, dtype: np.dtype, sizes: dict[str, int], ints, floats=()):
@@ -118,30 +139,36 @@ class _Plan:
         self.head = np.zeros(_HEAD_BYTES, dtype=np.uint8)
         self.head[:32].view(np.intc)[:] = ints
         self.head[32:32 + 8 * len(floats)].view(np.float64)[:] = floats
+        self._local = threading.local()
 
     def view(self, buf: np.ndarray, key: str, dtype, count: int) -> np.ndarray:
         start = self.offsets[key]
         return buf[start:start + count * np.dtype(dtype).itemsize].view(dtype)
 
-    def buffer(self, h: np.ndarray | None) -> tuple[np.ndarray, int]:
-        """Fresh argument buffer holding ``h`` (``None``: a workspace query), and its address.
+    def workspace(self) -> _Workspace:
+        """The calling thread's workspace; its ``a`` slot takes the next call's input."""
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            ws = self._local.ws = self._bind(_Workspace(self))
+        return ws
 
-        The caller keeps the buffer referenced while LAPACK works on the address.
-        """
-        buf = np.empty(self.nbytes, dtype=np.uint8)
-        buf[:_HEAD_BYTES] = self.head
-        if h is not None:
-            self.view(buf, "a", self.dtype, self.n * self.n).reshape(self.n, self.n)[...] = h
-        # a third of the time ``buf.ctypes.data`` takes
-        return buf, ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    def _bind(self, ws: _Workspace) -> _Workspace:
+        """Attach this plan's call arguments and result views to a new workspace."""
+        raise NotImplementedError
+
+    def _load(self, h: np.ndarray) -> _Workspace:
+        """This thread's workspace with ``h`` in its ``a`` slot, unless ``h`` is that slot."""
+        ws = self.workspace()
+        if h is not ws.a:
+            ws.a[...] = h
+        return ws
 
     @staticmethod
-    def run(base: int, routine, chars: tuple[bytes, ...], arg_offsets) -> None:
-        """Call ``routine`` on pointers into the buffer at ``base``; ``info != 0`` raises ``LinAlgError``."""
-        routine(*chars, *[base + off for off in arg_offsets])
-        info = ctypes.c_int.from_address(base + _INFO).value
-        if info != 0:
-            raise np.linalg.LinAlgError(f"eigensolver failed (info={info})")
+    def run(ws: _Workspace, routine, args: tuple) -> None:
+        """Call ``routine`` on ``args``; ``info != 0`` raises ``LinAlgError``."""
+        routine(*args)
+        if ws.info.value != 0:
+            raise np.linalg.LinAlgError(f"eigensolver failed (info={ws.info.value})")
 
 
 class _EvrPlan(_Plan):
@@ -158,11 +185,11 @@ class _EvrPlan(_Plan):
         # int slots: n, ld, il = iu, lwork, lrwork, liwork, m, info; doubles: vl, vu, abstol
         super().__init__(n, dtype, sizes, (n, max(n, 1), 1, lwork, lrwork, liwork, 0, 0),
                          (0.0, np.inf, 0.0))
-        n_, ld, idx, lw, lrw, liw, m = range(0, _INFO, 4)
+        n_, ld, idx, lw, lrw, liw, self._m = range(0, _INFO, 4)
         vl, vu, abstol = 32, 40, 48
         o = self.offsets
-        args = [n_, o["a"], ld, vl, vu, idx, idx, abstol, m, o["w"], o["z"], ld, o["isuppz"],
-                o["work"], lw]
+        args = [n_, o["a"], ld, vl, vu, idx, idx, abstol, self._m, o["w"], o["z"], ld,
+                o["isuppz"], o["work"], lw]
         if dtype.kind == "c":
             self.routine = _ZHEEVR
             args += [o["rwork"], lrw, o["iwork"], liw, _INFO]
@@ -171,22 +198,29 @@ class _EvrPlan(_Plan):
             args += [o["iwork"], liw, _INFO]
         self.arg_offsets = tuple(args)
 
+    def _bind(self, ws):
+        ws.evr = ws.args((b"V", b"V", b"L"), self.arg_offsets)
+        ws.m = ctypes.c_int.from_buffer(ws.buf, self._m)
+        ws.w = self.view(ws.buf, "w", np.float64, self.n)
+        ws.z = self.view(ws.buf, "z", self.dtype, self.n * self.n).reshape(self.n, self.n)
+        return ws
+
     @classmethod
     def query(cls, n: int, dtype: np.dtype) -> "_EvrPlan":
         plan = cls(n, dtype, -1, -1, -1)
-        buf, base = plan.buffer(None)
-        plan.run(base, plan.routine, (b"V", b"V", b"L"), plan.arg_offsets)
-        lwork = int(plan.view(buf, "work", dtype, 1)[0].real)
-        lrwork = int(plan.view(buf, "rwork", np.float64, 1)[0]) if dtype.kind == "c" else 0
-        liwork = int(plan.view(buf, "iwork", np.intc, 1)[0])
+        ws = plan.workspace()
+        plan.run(ws, plan.routine, ws.evr)
+        lwork = int(plan.view(ws.buf, "work", dtype, 1)[0].real)
+        lrwork = int(plan.view(ws.buf, "rwork", np.float64, 1)[0]) if dtype.kind == "c" else 0
+        liwork = int(plan.view(ws.buf, "iwork", np.intc, 1)[0])
         return cls(n, dtype, lwork, lrwork, liwork)
 
     def eigenpairs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        buf, base = self.buffer(h)
-        self.run(base, self.routine, (b"V", b"V", b"L"), self.arg_offsets)
-        r = ctypes.c_int.from_address(base + 24).value
-        rows = self.view(buf, "z", self.dtype, r * self.n).reshape(r, self.n)
-        return self.view(buf, "w", np.float64, r), rows
+        """Positive eigenvalues ascending and eigenvectors of ``conj(h)`` as rows, in the workspace."""
+        ws = self._load(h)
+        self.run(ws, self.routine, ws.evr)
+        r = ws.m.value
+        return ws.w[:r], ws.z[:r]
 
 
 class _StedcPlan(_Plan):
@@ -216,38 +250,54 @@ class _StedcPlan(_Plan):
         self.mtr_head = (n_, self._cols, o["a"], ld, o["tau"])
         self.mtr_tail = (ld, o["work"], lw, _INFO)
 
-    def _back_transform(self, buf: np.ndarray, base: int, first: int) -> np.ndarray:
-        """Apply the reduction's reflectors to tridiagonal eigenvectors ``first``, ..., ``n - 1``."""
-        n, r = self.n, self.n - first
-        ctypes.c_int.from_address(base + self._cols).value = r
+    def _bind(self, ws):
+        n = self.n
+        ws.trd = ws.args((b"L",), self.trd_args)
+        ws.stedc = ws.args((b"I",), self.stedc_args)
+        ws.mtr_head = ws.args((b"L", b"L", b"N"), self.mtr_head)
+        ws.mtr_tail = ws.args((), self.mtr_tail)
+        ws.cols = ctypes.c_int.from_buffer(ws.buf, self._cols)
+        ws.d = self.view(ws.buf, "d", np.float64, n)
+        ws.z = self.view(ws.buf, "z", np.float64, n * n).reshape(n, n)
         if self.dtype.kind == "c":
-            self.view(buf, "c", self.dtype, r * n)[...] = self.view(buf, "z", np.float64, n * n)[first * n:]
-            c = self.offsets["c"]
+            ws.c = self.view(ws.buf, "c", self.dtype, n * n).reshape(n, n)
+        return ws
+
+    def _back_transform(self, ws: _Workspace, first: int) -> np.ndarray:
+        """Apply the reduction's reflectors to tridiagonal eigenvectors ``first``, ..., ``n - 1``."""
+        r = self.n - first
+        ws.cols.value = r
+        if self.dtype.kind == "c":
+            rows = ws.c[:r]
+            rows[...] = ws.z[first:]
+            c = ws.base + self.offsets["c"]
         else:
-            c = self.offsets["z"] + first * n * 8  # in place: the columns are contiguous
-        self.run(base, self.mtr, (b"L", b"L", b"N"), (*self.mtr_head, c, *self.mtr_tail))
-        return buf[c:c + r * n * self.dtype.itemsize].view(self.dtype).reshape(r, n)
+            rows = ws.z[first:]  # in place: the columns are contiguous
+            c = ws.base + self.offsets["z"] + first * self.n * 8
+        self.run(ws, self.mtr, (*ws.mtr_head, c, *ws.mtr_tail))
+        return rows
 
     @classmethod
     def query(cls, n: int, dtype: np.dtype) -> "_StedcPlan":
         plan = cls(n, dtype, -1, -1, -1)
-        buf, base = plan.buffer(None)
-        plan.run(base, plan.trd, (b"L",), plan.trd_args)
-        lwork = int(plan.view(buf, "work", dtype, 1)[0].real)
-        plan.run(base, _DSTEDC, (b"I",), plan.stedc_args)
-        lrwork = int(plan.view(buf, "rwork", np.float64, 1)[0])
-        liwork = int(plan.view(buf, "iwork", np.intc, 1)[0])
-        plan._back_transform(buf, base, 0)
-        lwork = max(lwork, int(plan.view(buf, "work", dtype, 1)[0].real))
+        ws = plan.workspace()
+        plan.run(ws, plan.trd, ws.trd)
+        lwork = int(plan.view(ws.buf, "work", dtype, 1)[0].real)
+        plan.run(ws, _DSTEDC, ws.stedc)
+        lrwork = int(plan.view(ws.buf, "rwork", np.float64, 1)[0])
+        liwork = int(plan.view(ws.buf, "iwork", np.intc, 1)[0])
+        plan._back_transform(ws, 0)
+        lwork = max(lwork, int(plan.view(ws.buf, "work", dtype, 1)[0].real))
         return cls(n, dtype, lwork, lrwork, liwork)
 
     def eigenpairs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        buf, base = self.buffer(h)
-        self.run(base, self.trd, (b"L",), self.trd_args)
-        self.run(base, _DSTEDC, (b"I",), self.stedc_args)
-        w = self.view(buf, "d", np.float64, self.n)  # ascending
+        """Positive eigenvalues ascending and eigenvectors of ``conj(h)`` as rows, in the workspace."""
+        ws = self._load(h)
+        self.run(ws, self.trd, ws.trd)
+        self.run(ws, _DSTEDC, ws.stedc)
+        w = ws.d  # ascending
         first = int(np.searchsorted(w, 0.0, side="right"))
-        return w[first:], self._back_transform(buf, base, first)
+        return w[first:], self._back_transform(ws, first)
 
 
 #: Divide and conquer replaces the partial solve when
@@ -259,10 +309,19 @@ class _StedcPlan(_Plan):
 _STEDC_CROSSOVER = 8
 
 
+_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+
+
 @functools.lru_cache(maxsize=None)
 def _plan(kind: type, n: int, dtype: np.dtype) -> _Plan:
     """Plan with LAPACK's optimal workspace sizes for ``(n, dtype)``, queried once."""
     return kind.query(n, dtype)
+
+
+def _solver(n: int, complex_field: bool, expected_rank: int) -> _Plan:
+    """The plan ``expected_rank`` selects for an ``n x n`` input."""
+    kind = _StedcPlan if _STEDC_CROSSOVER * (expected_rank - 1) > n else _EvrPlan
+    return _plan(kind, n, _COMPLEX if complex_field else _REAL)
 
 
 def positive_eigenpairs(h: np.ndarray, expected_rank: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -277,13 +336,11 @@ def positive_eigenpairs(h: np.ndarray, expected_rank: int = 1) -> tuple[np.ndarr
     few are expected, divide and conquer for all of them otherwise.
     ``h`` must be exactly Hermitian, since LAPACK reads one triangle only.
     """
-    n = h.shape[0]
-    dtype = np.dtype(np.complex128 if np.iscomplexobj(h) else np.float64)
-    kind = _StedcPlan if _STEDC_CROSSOVER * (expected_rank - 1) > n else _EvrPlan
-    w, rows = _plan(kind, n, dtype).eigenpairs(h)
+    plan = _solver(h.shape[0], np.iscomplexobj(h), expected_rank)
+    w, rows = plan.eigenpairs(h)
     # LAPACK worked on conj(h) and returns its eigenvectors as the rows of a
-    # C-ordered array.
-    return w, rows.conj().T
+    # C-ordered array; both results are copied out of the workspace.
+    return w.copy(), np.conjugate(rows).T
 
 
 def project_psd(m, expected_rank: int = 1) -> np.ndarray:
@@ -296,18 +353,27 @@ def project_psd(m, expected_rank: int = 1) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("project_psd expects a square matrix")
-    h = hermitian_part(m)
+    plan = _solver(m.shape[0], np.iscomplexobj(m), expected_rank)
+    # the Hermitian part goes straight into the eigensolver's input slot
+    h = plan.workspace().a
+    np.add(m, m.conj().T, out=h)
+    h *= 0.5
     # Checked after symmetrizing, so entries above about 9e307 that overflow
     # there are rejected too. A finite sum proves every entry finite at a
     # fraction of the cost; the entrywise test settles an overflowing sum.
     if not np.isfinite(h.sum()) and not np.isfinite(h).all():
         raise ValueError("project_psd: non-finite entries (or overflow while symmetrizing)")
-    w, v = positive_eigenpairs(h, expected_rank)
-    if w.size == h.shape[0]:
-        return h
+    w, rows = plan.eigenpairs(h)
+    if w.size == m.shape[0]:
+        return hermitian_part(m)  # LAPACK has overwritten h
     if w.size == 0:
-        return np.zeros_like(h)
-    return hermitian_part((v * w) @ v.conj().T)
+        return np.zeros_like(hermitian_part(m))
+    # the eigenvectors are rows.conj().T, so the projection is their product
+    # with rows; it is averaged with its conjugate transpose in place
+    p = (rows.conj().T * w) @ rows
+    np.add(p, p.conj().T, out=p)
+    p *= 0.5
+    return p
 
 
 def project_nsd(m) -> np.ndarray:

@@ -131,9 +131,8 @@ class SdpHadamard(OperatorParam):
 
     def _check(self, v):
         v = np.asarray(v)
-        size = self.shape.size
-        if v.shape != (size, size):
-            raise ValueError(f"expected matrix of shape {(size, size)}, got {v.shape}")
+        if v.shape != self._w.shape:
+            raise ValueError(f"expected matrix of shape {self._w.shape}, got {v.shape}")
         return v
 
     def apply(self, v):

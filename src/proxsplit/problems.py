@@ -141,18 +141,24 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int,
 
 
 def build_prox_pair(inst) -> ProxPair:
-    """Proximal evaluators of an instance's splitting."""
+    """Proximal evaluators of an instance's splitting.
+
+    They hold a read-only copy of the objective matrix, whose prox term the
+    linear-term proxes then compute once per parameter.
+    """
+    if not isinstance(inst, (BqpInstance, SrInstance)):
+        raise TypeError(f"unsupported instance type: {type(inst).__name__}")
+    g_f = np.array(inst.g_f)
+    g_f.flags.writeable = False
     if isinstance(inst, BqpInstance):
-        return ProxPair(f_prox=partial(prox_linear_diag1, inst.g_f),
-                        g_prox=prox_psd_indicator, g_f=inst.g_f,
+        return ProxPair(f_prox=partial(prox_linear_diag1, g_f),
+                        g_prox=prox_psd_indicator, g_f=g_f,
                         constraint="diag-ones", dim=inst.n + 1, is_complex=False)
-    if isinstance(inst, SrInstance):
-        observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
-        # the lifted solution [[T(u), x], [x^H, t]] has rank k, one per spike
-        return ProxPair(f_prox=partial(prox_linear_sr, inst.g_f, observed),
-                        g_prox=partial(prox_psd_indicator, expected_rank=inst.k), g_f=inst.g_f,
-                        constraint="fixed-toeplitz", dim=inst.n + 1, is_complex=True)
-    raise TypeError(f"unsupported instance type: {type(inst).__name__}")
+    observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
+    # the lifted solution [[T(u), x], [x^H, t]] has rank k, one per spike
+    return ProxPair(f_prox=partial(prox_linear_sr, g_f, observed),
+                    g_prox=partial(prox_psd_indicator, expected_rank=inst.k), g_f=g_f,
+                    constraint="fixed-toeplitz", dim=inst.n + 1, is_complex=True)
 
 
 @dataclass

@@ -10,6 +10,7 @@ reduce to overwrites.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,6 +82,36 @@ def prox_nsd_indicator(param: OperatorParam, v: np.ndarray) -> np.ndarray:
     return param.inverse(project_nsd(v))
 
 
+#: ``param.gram_inverse(g)`` per parameter, then per ``(id(g), dtype)``, for
+#: read-only ``g`` alone: the linear-term proxes need it every iteration with
+#: the same two arguments. Parameters are held weakly; each entry keeps its
+#: ``g`` alive, so no other array can take over its id.
+_GRAM_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _minus_gram_term(u: np.ndarray, g, param: OperatorParam) -> np.ndarray:
+    """``u - param.gram_inverse(g)``; the term is computed once per parameter if ``g`` is read-only.
+
+    The kept term is already cast to the difference's dtype (complex on SR),
+    which is what the subtraction casts it to, so the result has the same
+    bits. A writeable ``g`` can change between calls, so its term is not kept.
+    """
+    g = np.asarray(g)
+    if g.flags.writeable:
+        return u - param.gram_inverse(g)
+    terms = _GRAM_TERMS.get(param)
+    if terms is None:
+        terms = _GRAM_TERMS.setdefault(param, {})
+    key = (id(g), u.dtype)
+    entry = terms.get(key)
+    if entry is None:
+        term = param.gram_inverse(g)
+        term = term.astype(np.result_type(u, term))
+        term.flags.writeable = False
+        entry = terms[key] = (g, term)
+    return u - entry[1]
+
+
 def prox_linear_diag1(g: np.ndarray, param: OperatorParam, v: np.ndarray) -> np.ndarray:
     """Prox of a linear objective restricted to Hermitian matrices with unit diagonal.
 
@@ -89,8 +120,9 @@ def prox_linear_diag1(g: np.ndarray, param: OperatorParam, v: np.ndarray) -> np.
     """
     if not param.is_entrywise:
         raise ValueError("linear-term prox needs an entrywise parameter")
-    x = param.inverse(v) - param.gram_inverse(g)
-    np.fill_diagonal(x, 1.0)
+    x = _minus_gram_term(param.inverse(v), g, param)
+    # x is a fresh ufunc result, so C- or F-contiguous: this strided view is its diagonal
+    x.ravel(order="K")[::x.shape[0] + 1] = 1.0
     return x
 
 
@@ -112,7 +144,7 @@ def prox_linear_sr(g: np.ndarray, observed: FixedEntrySet, param: OperatorParam,
         raise IndexError("observed indices outside the vector block")
     vt = v.copy()
     vt[:m, :m] = project_toeplitz(v[:m, :m])
-    x = param.inverse(vt) - param.gram_inverse(g)
+    x = _minus_gram_term(param.inverse(vt), g, param)
     x[idx, m] = observed.values
     x[m, idx] = np.conj(observed.values)
     return x

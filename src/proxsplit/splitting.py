@@ -10,6 +10,7 @@ they generate the same governing sequence up to roundoff.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -88,6 +89,18 @@ class ConvergenceTrace:
         return self.stop_reason != "max_iters"
 
 
+def _norm(d: np.ndarray) -> float:
+    """``frob_norm(d)``; in double precision from the same dot products, without its checks."""
+    if d.dtype == np.complex128:
+        d = d.ravel(order="K")
+        re, im = d.real, d.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if d.dtype == np.float64:
+        d = d.ravel(order="K")
+        return math.sqrt(d.dot(d))
+    return frob_norm(d)
+
+
 def _run_loop(steps, psi: np.ndarray, stop: StopRule,
               psi_hook) -> tuple[SplitState, ConvergenceTrace]:
     """Iteration loop shared by every form, started at governing iterate ``psi``.
@@ -109,12 +122,12 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
                     raise DivergenceError("iterate turned non-finite")
                 raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g}")
         step = psi - psi_prev
-        fp_sq = float(np.real(np.vdot(step, step)))
-        opt_res = frob_norm(x - z)
+        fp_sq = float(np.vdot(step, step).real)
+        opt_res = _norm(x - z)
         mse_val = None
         if trace.mse is not None:
             d = x - stop.reference
-            mse_val = float(np.real(np.vdot(d, d))) / d.size
+            mse_val = float(np.vdot(d, d).real) / d.size
             trace.mse.append(mse_val)
         trace.fp_residual_sq.append(fp_sq)
         trace.opt_residual.append(opt_res)
@@ -142,8 +155,13 @@ def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRu
         while True:
             z = pair.g_prox(param, psi)
             sz = param.apply(z)
-            x = pair.f_prox(param, 2.0 * sz - psi)
-            psi_next = param.apply(x) + psi - sz
+            # in place only on the arrays allocated here: param.apply may return its
+            # argument, and psi is the caller's iterate
+            reflected = 2.0 * sz
+            reflected -= psi
+            x = pair.f_prox(param, reflected)
+            psi_next = psi + param.apply(x)  # the same sum as param.apply(x) + psi
+            psi_next -= sz
             # only the terminal dual is kept: yield what it is made of
             yield x, z, (psi, sz), psi_next
             psi = psi_next

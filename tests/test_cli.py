@@ -6,8 +6,14 @@ config merging and artifact layout exactly as a shell user would hit them.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from proxsplit.tuning import SolutionPair, acceleration_gain
 
 BQP_SMALL = ["--app", "bqp", "--n", "6", "--k", "8", "--seed", "5"]
 SR_SMALL = ["--app", "sr", "--n", "12", "--k", "3", "--seed", "5"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def read_rows(path):
@@ -146,6 +153,27 @@ def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, comman
     monkeypatch.setattr(cli, "solve", recording_solve)
     assert main([command, *BQP_SMALL, "--jobs", jobs, "--out", str(tmp_path / "out")]) == 0
     assert seen == [main_thread] * (1 if command == "run" else 7)
+
+
+def test_ctrl_c_stops_threaded_rows_at_once(tmp_path):
+    # the SR seed-2 identity row alone runs 71 783 iterations, about a minute;
+    # the interrupt must stop the running rows, not wait for them
+    out = tmp_path / "out"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "proxsplit.cli", "protocol", "--app", "sr", "--n", "50",
+         "--k", "10", "--seed", "2", "--jobs", "2", "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    try:
+        time.sleep(4)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode != 0 and "KeyboardInterrupt" in err
+    assert not (out / "protocol.csv").exists()
 
 
 # (file, schema line, column line, data rows at --max-iters 50) per command

@@ -212,7 +212,7 @@ def test_lapack_routines_are_gil_releasing_ctypes_functions():
 
 
 def test_concurrent_projections_match_serial_results():
-    # every call gets its own LAPACK argument buffer, which `sweep --jobs` relies on
+    # every thread gets its own LAPACK workspace, which `sweep --jobs` relies on
     rng = np.random.default_rng(5)
     cases = [(spectrum_case(kind, n, complex_field, seed=int(rng.integers(1 << 30))), rank)
              for kind in ("low-rank", "mixed")

@@ -1,12 +1,17 @@
+import sys
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxsplit.linalg import frob_norm, random_hermitian
-from proxsplit.params import BlockShape, Identity, SdpHadamard
-from proxsplit.prox import ProxPair, prox_linear_diag1, prox_psd_indicator
+from proxsplit.linalg import (frob_norm, hermitian_part, positive_eigenpairs, project_toeplitz,
+                              random_hermitian)
+from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
+from proxsplit.problems import build_prox_pair, gen_bqp, gen_sr
+from proxsplit.prox import (FixedEntrySet, ProxPair, prox_linear_diag1, prox_linear_sr,
+                            prox_psd_indicator)
 from proxsplit.splitting import (
     ConvergenceTrace,
     DivergenceError,
@@ -235,3 +240,152 @@ def test_mse_stopping_uses_reference():
     _, trace = run_drs(pair, param, pair.zeros(), stop)
     assert trace.converged and trace.stop_reason == "mse_eps"
     assert trace.mse is not None and trace.mse[-1] <= 1e-8
+
+
+# The DRS step as first written, kept as the oracle of the lean one: the
+# same operations in the same order, so every iterate must agree bit for bit.
+
+def plain_project_psd(m, expected_rank):
+    h = hermitian_part(m)
+    w, v = positive_eigenpairs(h, expected_rank)
+    if w.size == h.shape[0]:
+        return h
+    if w.size == 0:
+        return np.zeros_like(h)
+    return hermitian_part((v * w) @ v.conj().T)
+
+
+def plain_g_prox(expected_rank, param, v):
+    return param.inverse(plain_project_psd(v, expected_rank))
+
+
+def plain_diag1_prox(g, param, v):
+    x = param.inverse(v) - param.gram_inverse(g)
+    np.fill_diagonal(x, 1.0)
+    return x
+
+
+def plain_sr_prox(g, observed, param, v):
+    m = v.shape[0] - 1
+    vt = v.copy()
+    vt[:m, :m] = project_toeplitz(v[:m, :m])
+    x = param.inverse(vt) - param.gram_inverse(g)
+    x[observed.indices, m] = observed.values
+    x[m, observed.indices] = np.conj(observed.values)
+    return x
+
+
+def plain_drs(f_prox, g_prox, param, psi0, iters, reference):
+    """Governing iterates and the trace's three lists of the plain DRS loop."""
+    psi = psi0
+    psis, fp_sq, opt_res, mse = [], [], [], []
+    for _ in range(iters):
+        z = g_prox(param, psi)
+        sz = param.apply(z)
+        x = f_prox(param, 2.0 * sz - psi)
+        psi_next = param.apply(x) + psi - sz
+        step = psi_next - psi
+        fp_sq.append(float(np.real(np.vdot(step, step))))
+        opt_res.append(frob_norm(x - z))
+        d = x - reference
+        mse.append(float(np.real(np.vdot(d, d))) / d.size)
+        psis.append(psi_next)
+        psi = psi_next
+    return psis, (fp_sq, opt_res, mse)
+
+
+def small_app(app):
+    """A small instance, its pair, a writeable copy ``g`` of ``g_f``, the shipped and
+    the plain f-prox over ``g``, and the plain g-prox."""
+    if app == "bqp":
+        inst = gen_bqp(6, 8, 0.05, 1.0, 5)
+        g = inst.g_f.copy()
+        return (inst, build_prox_pair(inst), g, partial(prox_linear_diag1, g),
+                partial(plain_diag1_prox, g), partial(plain_g_prox, 1))
+    inst = gen_sr(12, 3, 2.0, 0.8, 5)
+    g = inst.g_f.copy()
+    observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
+    return (inst, build_prox_pair(inst), g, partial(prox_linear_sr, g, observed),
+            partial(plain_sr_prox, g, observed), partial(plain_g_prox, inst.k))
+
+
+ORACLE_ITERS = 60
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+@pytest.mark.parametrize("make_param", [lambda shape: Identity(), lambda shape: Scalar(0.7),
+                                        lambda shape: SdpHadamard(1.7, 0.4, shape)],
+                         ids=["identity", "scalar", "sdp-hadamard"])
+def test_drs_matches_the_plain_step_bit_for_bit(app, make_param):
+    inst, pair, _, _, f_plain, g_plain = small_app(app)
+    param = make_param(inst.shape)
+    rng = np.random.default_rng(3)
+    psi0 = random_hermitian(pair.dim, rng, complex_field=pair.is_complex)
+    reference = random_hermitian(pair.dim, rng, complex_field=pair.is_complex)
+    psi0_before, g_before = psi0.copy(), inst.g_f.copy()
+    want_psis, want_lists = plain_drs(f_plain, g_plain, param, psi0, ORACLE_ITERS, reference)
+    psis = []
+    _, trace = run_drs(pair, param, psi0, StopRule(max_iters=ORACLE_ITERS, opt_eps=None,
+                                                   reference=reference),
+                       lambda k, psi: psis.append(psi.copy()))
+    assert len(psis) == ORACLE_ITERS
+    for k, (got, want) in enumerate(zip(psis, want_psis)):
+        assert np.array_equal(got, want), (app, k)
+    assert (trace.fp_residual_sq, trace.opt_residual, trace.mse) == want_lists
+    np.testing.assert_array_equal(psi0, psi0_before)
+    np.testing.assert_array_equal(inst.g_f, g_before)
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+def test_writing_into_a_writeable_g_between_runs_changes_the_next_run(app):
+    inst, built, g, f_prox, f_plain, g_plain = small_app(app)
+    pair = ProxPair(f_prox=f_prox, g_prox=built.g_prox, g_f=g, dim=built.dim,
+                    is_complex=built.is_complex)
+    param = SdpHadamard(1.7, 0.4, inst.shape)
+    stop = StopRule(max_iters=ORACLE_ITERS, opt_eps=None)
+    first, _ = run_drs(pair, param, pair.zeros(), stop)
+    g[0, 1] += 0.25
+    g[1, 0] += 0.25
+    second, _ = run_drs(pair, param, pair.zeros(), stop)
+    assert not np.array_equal(first.psi, second.psi)
+    want_psis, _ = plain_drs(f_plain, g_plain, param, pair.zeros(), ORACLE_ITERS, pair.zeros())
+    assert np.array_equal(second.psi, want_psis[-1])
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+def test_concurrent_solves_on_one_pair_match_serial_runs(app):
+    # four threads on two cores, switching as often as the interpreter allows,
+    # each with its own parameter over one shared pair
+    inst, pair, *_ = small_app(app)
+    params = [SdpHadamard(a, b, inst.shape) for a, b in ((0.5, 2.0), (1.0, 1.0),
+                                                         (2.0, 0.5), (1.7, 0.4))]
+    stop = StopRule(max_iters=150, opt_eps=None)
+
+    def solve(param):
+        state, trace = run_drs(pair, param, pair.zeros(), stop)
+        return state.psi, state.x, (trace.fp_residual_sq, trace.opt_residual)
+
+    serial = [solve(param) for param in params]
+    results, errors = [None] * len(params), []
+
+    def worker(i):
+        try:
+            results[i] = solve(params[i])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(params))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for (psi, x, lists), (psi_s, x_s, lists_s) in zip(results, serial):
+        assert np.array_equal(psi, psi_s) and np.array_equal(x, x_s)
+        assert lists == lists_s
