@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -294,6 +294,8 @@ def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(solve, pair, param, stop, halt_if_set) for param in params]
         try:
+            for future in as_completed(futures):
+                future.result()  # the first row to fail raises here, wherever it is queued
             return [future.result()[1] for future in futures]
         except BaseException:  # Ctrl-C or a failed row: drop the queued rows, stop the running
             halt.set()

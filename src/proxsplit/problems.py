@@ -9,6 +9,7 @@ matrix, proximal evaluators, and a high-precision self-computed reference.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .linalg import gaussian_sample
 from .params import BlockShape, OperatorParam
-from .prox import FixedEntrySet, ProxPair, prox_linear_diag1, prox_linear_sr, prox_psd_indicator
+from .prox import FixedEntrySet, ProxPair, _linear_diag1, _linear_sr, prox_psd_indicator
 from .splitting import StopRule, run_drs
 
 INSTANCE_SCHEMA = "proxsplit-instance v1"
@@ -140,23 +141,45 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int,
                       g_f=g_f, sigma=sigma, obs_frac=obs_frac, seed=seed)
 
 
+def _gram_terms(g: np.ndarray, dtype):
+    """``param -> param.gram_inverse(g)`` cast to ``dtype``, computed once per parameter.
+
+    ``g`` must be an array no one else can write to. ``dtype`` is the pair's
+    iterate dtype: the linear-term proxes' subtraction casts the term to it
+    anyway, so casting once keeps their results' bits. Parameters are held
+    weakly.
+    """
+    terms = weakref.WeakKeyDictionary()
+
+    def gram_term(param: OperatorParam) -> np.ndarray:
+        term = terms.get(param)
+        if term is None:
+            term = param.gram_inverse(g)
+            term = term.astype(np.result_type(term, dtype))  # a copy, also where term is g
+            term.flags.writeable = False
+            terms[param] = term
+        return term
+
+    return gram_term
+
+
 def build_prox_pair(inst) -> ProxPair:
     """Proximal evaluators of an instance's splitting.
 
-    They hold a read-only copy of the objective matrix, whose prox term the
-    linear-term proxes then compute once per parameter.
+    They hold a private read-only copy of the objective matrix, so the
+    linear-term prox computes its term once per parameter.
     """
     if not isinstance(inst, (BqpInstance, SrInstance)):
         raise TypeError(f"unsupported instance type: {type(inst).__name__}")
     g_f = np.array(inst.g_f)
     g_f.flags.writeable = False
     if isinstance(inst, BqpInstance):
-        return ProxPair(f_prox=partial(prox_linear_diag1, g_f),
+        return ProxPair(f_prox=partial(_linear_diag1, _gram_terms(g_f, np.float64)),
                         g_prox=prox_psd_indicator, g_f=g_f,
                         constraint="diag-ones", dim=inst.n + 1, is_complex=False)
     observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
     # the lifted solution [[T(u), x], [x^H, t]] has rank k, one per spike
-    return ProxPair(f_prox=partial(prox_linear_sr, g_f, observed),
+    return ProxPair(f_prox=partial(_linear_sr, _gram_terms(g_f, np.complex128), observed),
                     g_prox=partial(prox_psd_indicator, expected_rank=inst.k), g_f=g_f,
                     constraint="fixed-toeplitz", dim=inst.n + 1, is_complex=True)
 

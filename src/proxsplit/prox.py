@@ -10,7 +10,6 @@ reduce to overwrites.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +19,8 @@ from .linalg import frob_norm, project_nsd, project_psd, project_toeplitz
 from .params import OperatorParam, adjoint_inverse_param
 
 ProxFn = Callable[[OperatorParam, np.ndarray], np.ndarray]
+#: ``param -> param.gram_inverse(g)`` for a linear objective matrix ``g``
+_GramTerm = Callable[[OperatorParam], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -82,45 +83,20 @@ def prox_nsd_indicator(param: OperatorParam, v: np.ndarray) -> np.ndarray:
     return param.inverse(project_nsd(v))
 
 
-#: ``param.gram_inverse(g)`` per parameter, then per ``(id(g), dtype)``, for
-#: read-only ``g`` alone: the linear-term proxes need it every iteration with
-#: the same two arguments. Parameters are held weakly; each entry keeps its
-#: ``g`` alive, so no other array can take over its id.
-_GRAM_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _minus_gram_term(u: np.ndarray, g, param: OperatorParam) -> np.ndarray:
-    """``u - param.gram_inverse(g)``; the term is computed once per parameter if ``g`` is read-only.
-
-    The kept term is already cast to the difference's dtype (complex on SR),
-    which is what the subtraction casts it to, so the result has the same
-    bits. A writeable ``g`` can change between calls, so its term is not kept.
-    """
-    g = np.asarray(g)
-    if g.flags.writeable:
-        return u - param.gram_inverse(g)
-    terms = _GRAM_TERMS.get(param)
-    if terms is None:
-        terms = _GRAM_TERMS.setdefault(param, {})
-    key = (id(g), u.dtype)
-    entry = terms.get(key)
-    if entry is None:
-        term = param.gram_inverse(g)
-        term = term.astype(np.result_type(u, term))
-        term.flags.writeable = False
-        entry = terms[key] = (g, term)
-    return u - entry[1]
-
-
 def prox_linear_diag1(g: np.ndarray, param: OperatorParam, v: np.ndarray) -> np.ndarray:
     """Prox of a linear objective restricted to Hermitian matrices with unit diagonal.
 
     Exact for entrywise parameters: the quadratic separates per entry, so the
     unconstrained minimizer is corrected only on the diagonal.
     """
+    return _linear_diag1(lambda p: p.gram_inverse(g), param, v)
+
+
+def _linear_diag1(gram_term: _GramTerm, param: OperatorParam, v: np.ndarray) -> np.ndarray:
+    """``prox_linear_diag1`` with the term ``param.gram_inverse(g)`` read from ``gram_term(param)``."""
     if not param.is_entrywise:
         raise ValueError("linear-term prox needs an entrywise parameter")
-    x = _minus_gram_term(param.inverse(v), g, param)
+    x = param.inverse(v) - gram_term(param)
     # x is a fresh ufunc result, so C- or F-contiguous: this strided view is its diagonal
     x.ravel(order="K")[::x.shape[0] + 1] = 1.0
     return x
@@ -135,6 +111,12 @@ def prox_linear_sr(g: np.ndarray, observed: FixedEntrySet, param: OperatorParam,
     parameters whose grid is constant on the leading block, because the
     Toeplitz projection then commutes with the parameter.
     """
+    return _linear_sr(lambda p: p.gram_inverse(g), observed, param, v)
+
+
+def _linear_sr(gram_term: _GramTerm, observed: FixedEntrySet, param: OperatorParam,
+               v: np.ndarray) -> np.ndarray:
+    """``prox_linear_sr`` with the term ``param.gram_inverse(g)`` read from ``gram_term(param)``."""
     if not param.is_entrywise:
         raise ValueError("linear-term prox needs an entrywise parameter")
     v = np.asarray(v)
@@ -144,7 +126,7 @@ def prox_linear_sr(g: np.ndarray, observed: FixedEntrySet, param: OperatorParam,
         raise IndexError("observed indices outside the vector block")
     vt = v.copy()
     vt[:m, :m] = project_toeplitz(v[:m, :m])
-    x = _minus_gram_term(param.inverse(vt), g, param)
+    x = param.inverse(vt) - gram_term(param)
     x[idx, m] = observed.values
     x[m, idx] = np.conj(observed.values)
     return x

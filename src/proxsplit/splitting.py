@@ -10,7 +10,6 @@ they generate the same governing sequence up to roundoff.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -89,18 +88,6 @@ class ConvergenceTrace:
         return self.stop_reason != "max_iters"
 
 
-def _norm(d: np.ndarray) -> float:
-    """``frob_norm(d)``; in double precision from the same dot products, without its checks."""
-    if d.dtype == np.complex128:
-        d = d.ravel(order="K")
-        re, im = d.real, d.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    if d.dtype == np.float64:
-        d = d.ravel(order="K")
-        return math.sqrt(d.dot(d))
-    return frob_norm(d)
-
-
 def _run_loop(steps, psi: np.ndarray, stop: StopRule,
               psi_hook) -> tuple[SplitState, ConvergenceTrace]:
     """Iteration loop shared by every form, started at governing iterate ``psi``.
@@ -123,7 +110,7 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
                 raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g}")
         step = psi - psi_prev
         fp_sq = float(np.vdot(step, step).real)
-        opt_res = _norm(x - z)
+        opt_res = frob_norm(x - z)
         mse_val = None
         if trace.mse is not None:
             d = x - stop.reference

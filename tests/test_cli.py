@@ -163,17 +163,48 @@ def test_ctrl_c_stops_threaded_rows_at_once(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "proxsplit.cli", "protocol", "--app", "sr", "--n", "50",
          "--k", "10", "--seed", "2", "--jobs", "2", "--out", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         env={**os.environ, "PYTHONPATH": path})
     try:
         time.sleep(4)
         proc.send_signal(signal.SIGINT)
-        _, err = proc.communicate(timeout=10)
+        proc.communicate(timeout=10)
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode != 0 and "KeyboardInterrupt" in err
+    assert proc.returncode != 0
     assert not (out / "protocol.csv").exists()
+
+
+def test_a_failed_row_stops_the_rows_queued_ahead_of_it(monkeypatch):
+    # the second row fails while the first is still running: the first must be
+    # stopped at its next iteration, not awaited
+    slow_started = threading.Event()
+    stopped = []
+
+    def fake_solve(pair, param, stop, psi_hook):
+        if param == "fails":
+            slow_started.wait(10)
+            raise cli.DivergenceError("iterate turned non-finite")
+        slow_started.set()
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                psi_hook(1, None)
+            except BaseException:
+                stopped.append(True)
+                raise
+            time.sleep(0.001)
+        return None, None
+
+    monkeypatch.setattr(cli, "solve", fake_solve)
+    cfg = ExperimentConfig(jobs=2)
+    ref = type("Ref", (), {"x_ref": np.zeros((2, 2))})()
+    t0 = time.monotonic()
+    with pytest.raises(cli.DivergenceError):
+        cli._solve_rows(cfg, None, ref, ["slow", "fails"])
+    assert time.monotonic() - t0 < 5
+    assert stopped == [True]
 
 
 # (file, schema line, column line, data rows at --max-iters 50) per command

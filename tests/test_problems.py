@@ -1,12 +1,14 @@
 """Instance generators, serialization and high-precision references."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from proxsplit.linalg import frob_inner, toeplitz_map
-from proxsplit.params import BlockShape, Identity
+from proxsplit.linalg import frob_inner, random_hermitian, toeplitz_map
+from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
+from proxsplit.prox import FixedEntrySet, prox_linear_diag1, prox_linear_sr
 from proxsplit.tuning import bqp_estimate
 from proxsplit.problems import (
     BqpInstance,
@@ -236,6 +238,26 @@ def test_build_prox_pair_wiring():
 
     with pytest.raises(TypeError):
         build_prox_pair(object())
+
+
+@pytest.mark.parametrize("param", [Identity(), Scalar(0.7), "hadamard"])
+def test_prox_pair_f_prox_matches_the_linear_proxes_bit_for_bit(param):
+    # the pair computes its gram term once per parameter, cast to the iterate
+    # dtype; every call, the first and the ones served the kept term, must give
+    # the bits of the plain linear-term prox
+    bqp, sr = gen_bqp(6, 8, 0.2, 1.0, 5), gen_sr(12, 3, 1.0, 0.8, 5)
+    observed = FixedEntrySet(sr.omega, sr.x_star[sr.omega])
+    rng = np.random.default_rng(3)
+    for inst, plain, complex_field in (
+            (bqp, partial(prox_linear_diag1, bqp.g_f), False),
+            (sr, partial(prox_linear_sr, sr.g_f, observed), True)):
+        pair = build_prox_pair(inst)
+        p = SdpHadamard(0.4, 2.0, inst.shape) if param == "hadamard" else param
+        assert not pair.g_f.flags.writeable
+        for _ in range(3):
+            v = random_hermitian(pair.dim, rng, complex_field=complex_field)
+            got, want = pair.f_prox(p, v), plain(p, v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_reference_solve_small_instance():

@@ -98,33 +98,24 @@ def test_diag1_prox_beats_sampled_feasible_points():
         assert base <= objective(w) + 1e-10
 
 
-def read_only(a):
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
 @pytest.mark.parametrize("param", random_params(BlockShape(5, 1)))
-def test_linear_proxes_give_the_same_bits_for_a_read_only_g(param):
-    # a read-only g has its prox term kept per parameter, cast to the result's dtype;
-    # each g gets its own term, also two read-only ones under one parameter
+def test_linear_proxes_read_g_on_every_call(param):
+    # a read-only view does not make g immutable: a write into its base between
+    # two calls must show in the second result
     n = 5
     _, g_sr, observed, _ = make_sr_inputs(n)
-    g_a, g_b = random_hermitian(n + 1, RNG), random_hermitian(n + 1, RNG)
-    frozen = {id(g): read_only(g) for g in (g_a, g_b, g_sr)}
-
-    def same_bits(got, want):
-        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    for _ in range(2):  # the second round is served the kept terms
-        for g in (g_a, g_b):
-            for complex_field in (False, True):
-                v = random_hermitian(n + 1, RNG, complex_field=complex_field)
-                assert same_bits(prox_linear_diag1(frozen[id(g)], param, v),
-                                 prox_linear_diag1(g, param, v))
+    for base in (random_hermitian(n + 1, RNG), g_sr):
+        g = base.view()
+        g.flags.writeable = False
         v = random_hermitian(n + 1, RNG, complex_field=True)
-        assert same_bits(prox_linear_sr(frozen[id(g_sr)], observed, param, v),
-                         prox_linear_sr(g_sr, observed, param, v))
+        first = (prox_linear_diag1(g, param, v), prox_linear_sr(g, observed, param, v))
+        base[0, 1] += 1.0
+        second = (prox_linear_diag1(g, param, v), prox_linear_sr(g, observed, param, v))
+        fresh = np.array(base)
+        assert np.array_equal(second[0], prox_linear_diag1(fresh, param, v))
+        assert np.array_equal(second[1], prox_linear_sr(fresh, observed, param, v))
+        assert not np.array_equal(first[0], second[0])
+        assert not np.array_equal(first[1], second[1])
 
 
 def make_sr_inputs(n=6, param_kind="hadamard"):
