@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -51,7 +52,7 @@ class UnconvergedReference(RuntimeError):
 
 
 class _Halted(Exception):
-    """Stops a row running on a worker thread once the other rows have failed or were interrupted."""
+    """Stops a row running in a worker process once the other rows have failed or were interrupted."""
 
 
 @dataclass
@@ -216,9 +217,37 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
     raise ConfigError(f"param-mode {mode!r} is not runnable here")
 
 
-def solve(pair, param, stop: StopRule, psi_hook=None):
-    """Run DRS from a zero governing iterate; ``psi_hook`` as for ``run_drs``."""
-    return run_drs(pair, param, pair.zeros(), stop, psi_hook)
+def solve(pair, param, stop: StopRule, psi_hook=None, workers=None):
+    """Run DRS from a zero governing iterate; ``psi_hook`` as for ``run_drs``.
+
+    With a process pool ``workers`` from ``_solve_rows``, one of its workers
+    runs the DRS, checking the pool's halt flag instead of ``psi_hook``, and
+    this call waits for its ``(state, trace)``.
+    """
+    if workers is None:
+        return run_drs(pair, param, pair.zeros(), stop, psi_hook)
+    return workers.submit(_solve_in_worker, pair, param, stop).result()
+
+
+#: in a worker process, the shared flag that tells its row to stop
+_halt = None
+
+
+def _start_worker(halt) -> None:
+    """Worker set-up: Ctrl-C is the parent's alone, which stops the rows through ``halt``."""
+    global _halt
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _halt = halt
+
+
+def _halt_if_set(k, psi) -> None:
+    if _halt.value:
+        raise _Halted
+
+
+def _solve_in_worker(pair, param, stop: StopRule):
+    """``solve``'s DRS in a worker process, stopped at the next iteration once halted."""
+    return run_drs(pair, param, pair.zeros(), stop, _halt_if_set)
 
 
 @contextmanager
@@ -274,10 +303,11 @@ def _prepare(cfg: ExperimentConfig):
 
 
 def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
-    """The trace of a run per parameter, in order, on up to ``cfg.jobs`` threads.
+    """The trace of a run per parameter, in order, on up to ``cfg.jobs`` worker processes.
 
     Each run stops at MSE ``cfg.mse_eps`` against the reference, or at the
-    configured caps.
+    configured caps. On Ctrl-C or the first row to fail, the queued rows are
+    dropped and the running ones stop at their next iteration.
     """
     stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
                     mse_eps=cfg.mse_eps, reference=ref.x_ref)
@@ -285,21 +315,28 @@ def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
     jobs = min(cfg.jobs, len(params))
     if jobs == 1:  # in the calling thread, so that Ctrl-C stops a long row at once
         return [solve(pair, param, stop)[1] for param in params]
-    halt = threading.Event()
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def halt_if_set(k, psi):
-        if halt.is_set():
-            raise _Halted
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(solve, pair, param, stop, halt_if_set) for param in params]
+    # forked workers inherit the loaded modules and LAPACK plans instead of importing them
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    halt = context.RawValue("b", 0)
+    # each row's ``solve`` call waits in a dispatcher thread, one per worker, so a
+    # wrapper of ``cli.solve`` (perfbench times sweep cells with one) sees every row
+    with ProcessPoolExecutor(jobs, mp_context=context, initializer=_start_worker,
+                             initargs=(halt,)) as workers, \
+            ThreadPoolExecutor(max_workers=jobs) as dispatch:
         try:
+            workers.submit(os.getpid)  # starts the workers from this thread, before any other
+            futures = [dispatch.submit(solve, pair, param, stop, None, workers)
+                       for param in params]
             for future in as_completed(futures):
                 future.result()  # the first row to fail raises here, wherever it is queued
             return [future.result()[1] for future in futures]
         except BaseException:  # Ctrl-C or a failed row: drop the queued rows, stop the running
-            halt.set()
-            pool.shutdown(cancel_futures=True)
+            halt.value = 1
+            dispatch.shutdown(cancel_futures=True)
             raise
 
 
@@ -428,6 +465,9 @@ def main(argv=None) -> int:
         what = "solve diverged: " if isinstance(exc, DivergenceError) else ""
         print(f"error: {what}{exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
+    except KeyboardInterrupt:  # the rows are solved before any artifact is written
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

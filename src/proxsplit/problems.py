@@ -141,26 +141,36 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int,
                       g_f=g_f, sigma=sigma, obs_frac=obs_frac, seed=seed)
 
 
-def _gram_terms(g: np.ndarray, dtype):
+class _GramTerms:
     """``param -> param.gram_inverse(g)`` cast to ``dtype``, computed once per parameter.
 
     ``g`` must be an array no one else can write to. ``dtype`` is the pair's
     iterate dtype: the linear-term proxes' subtraction casts the term to it
     anyway, so casting once keeps their results' bits. Parameters are held
-    weakly.
+    weakly. A pickled copy leaves the terms behind, and its copy of ``g`` is
+    made read-only again, which a pickle does not keep.
     """
-    terms = weakref.WeakKeyDictionary()
 
-    def gram_term(param: OperatorParam) -> np.ndarray:
-        term = terms.get(param)
+    def __init__(self, g: np.ndarray, dtype):
+        self.g, self.dtype = g, dtype
+        self.terms = weakref.WeakKeyDictionary()
+
+    def __call__(self, param: OperatorParam) -> np.ndarray:
+        term = self.terms.get(param)
         if term is None:
-            term = param.gram_inverse(g)
-            term = term.astype(np.result_type(term, dtype))  # a copy, also where term is g
+            term = param.gram_inverse(self.g)
+            term = term.astype(np.result_type(term, self.dtype))  # a copy, also where term is g
             term.flags.writeable = False
-            terms[param] = term
+            self.terms[param] = term
         return term
 
-    return gram_term
+    def __getstate__(self):
+        return self.g, self.dtype
+
+    def __setstate__(self, state):
+        g, dtype = state
+        g.flags.writeable = False
+        self.__init__(g, dtype)
 
 
 def build_prox_pair(inst) -> ProxPair:
@@ -174,12 +184,12 @@ def build_prox_pair(inst) -> ProxPair:
     g_f = np.array(inst.g_f)
     g_f.flags.writeable = False
     if isinstance(inst, BqpInstance):
-        return ProxPair(f_prox=partial(_linear_diag1, _gram_terms(g_f, np.float64)),
+        return ProxPair(f_prox=partial(_linear_diag1, _GramTerms(g_f, np.float64)),
                         g_prox=prox_psd_indicator, g_f=g_f,
                         constraint="diag-ones", dim=inst.n + 1, is_complex=False)
     observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
     # the lifted solution [[T(u), x], [x^H, t]] has rank k, one per spike
-    return ProxPair(f_prox=partial(_linear_sr, _gram_terms(g_f, np.complex128), observed),
+    return ProxPair(f_prox=partial(_linear_sr, _GramTerms(g_f, np.complex128), observed),
                     g_prox=partial(prox_psd_indicator, expected_rank=inst.k), g_f=g_f,
                     constraint="fixed-toeplitz", dim=inst.n + 1, is_complex=True)
 

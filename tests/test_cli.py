@@ -6,6 +6,7 @@ config merging and artifact layout exactly as a shell user would hit them.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -13,6 +14,7 @@ import sys
 import threading
 import time
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 import proxsplit.cli as cli
 from proxsplit.cli import ExperimentConfig, build_parser, main, resolve_config
 from proxsplit.params import param_from_config
-from proxsplit.problems import _decode_array, gen_bqp, gen_sr, load_instance
+from proxsplit.problems import _decode_array, build_prox_pair, gen_bqp, gen_sr, load_instance
 from proxsplit.tuning import SolutionPair, acceleration_gain
 
 BQP_SMALL = ["--app", "bqp", "--n", "6", "--k", "8", "--seed", "5"]
@@ -163,48 +165,131 @@ def test_ctrl_c_stops_threaded_rows_at_once(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "proxsplit.cli", "protocol", "--app", "sr", "--n", "50",
          "--k", "10", "--seed", "2", "--jobs", "2", "--out", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": path})
     try:
         time.sleep(4)
+        workers = child_pids(proc.pid)
         proc.send_signal(signal.SIGINT)
-        proc.communicate(timeout=10)
+        _, stderr = proc.communicate(timeout=10)
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode != 0
-    assert not (out / "protocol.csv").exists()
+    assert stderr == "error: interrupted\n"
+    assert proc.returncode == 130
+    assert not out.exists()
+    assert not [pid for pid in workers if is_running(pid)]
 
 
-def test_a_failed_row_stops_the_rows_queued_ahead_of_it(monkeypatch):
-    # the second row fails while the first is still running: the first must be
-    # stopped at its next iteration, not awaited
-    slow_started = threading.Event()
-    stopped = []
+def child_pids(pid: int) -> list[int]:
+    """The child processes of ``pid`` where Linux lists them, else none."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(tok) for tok in path.read_text().split()] if path.exists() else []
 
-    def fake_solve(pair, param, stop, psi_hook):
-        if param == "fails":
-            slow_started.wait(10)
-            raise cli.DivergenceError("iterate turned non-finite")
-        slow_started.set()
+
+def is_running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (Linux)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: a real pair and reference for ``_solve_rows``; the scripted rows never iterate on them
+SMALL_PAIR = build_prox_pair(gen_bqp(6, 8, 0.05, 1.0, 5))
+SMALL_REF = type("Ref", (), {"x_ref": SMALL_PAIR.zeros()})()
+forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                           reason="a monkeypatch reaches the workers only through fork")
+
+
+def scripted_row(log: Path, pair, param, psi0, stop, psi_hook):
+    """Stands in for ``run_drs`` in a worker: the row does what its parameter names.
+
+    ``pid`` returns the worker's process id as its trace, and ``ctrl-c``
+    returns ``ignored`` after sending Ctrl-C to its own worker. ``slow`` writes
+    ``log/slow`` and runs until its hook stops it or 10 s pass, then records
+    ``halted`` or ``finished``. ``fails`` and ``interrupts`` wait for ``slow``
+    to run, then raise a ``DivergenceError`` or send Ctrl-C to the parent.
+    """
+    if param == "pid":
+        return None, os.getpid()
+    if param == "ctrl-c":
+        os.kill(os.getpid(), signal.SIGINT)
+        return None, "ignored"
+    slow = log / "slow"
+    if param != "slow":
         deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            try:
-                psi_hook(1, None)
-            except BaseException:
-                stopped.append(True)
-                raise
+        while not slow.exists() and time.monotonic() < deadline:
             time.sleep(0.001)
+        if param == "fails":
+            raise cli.DivergenceError("iterate turned non-finite")
+        os.kill(os.getppid(), signal.SIGINT)
         return None, None
+    slow.write_text("running")
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            psi_hook(1, None)
+        except BaseException:
+            slow.write_text("halted")
+            raise
+        time.sleep(0.001)
+    slow.write_text("finished")
+    return None, None
 
-    monkeypatch.setattr(cli, "solve", fake_solve)
-    cfg = ExperimentConfig(jobs=2)
-    ref = type("Ref", (), {"x_ref": np.zeros((2, 2))})()
+
+@pytest.fixture
+def scripted_rows(tmp_path, monkeypatch):
+    """``cli.run_drs`` replaced by ``scripted_row`` logging to ``tmp_path``; forked workers inherit it."""
+    monkeypatch.setattr(cli, "run_drs", partial(scripted_row, tmp_path))
+    return tmp_path
+
+
+@forks
+def test_rows_run_in_worker_processes(scripted_rows, monkeypatch):
+    # the workers are forked from the calling thread before it starts any other,
+    # and leave Ctrl-C to it
+    forked_from = []
+    fork = os.fork
+
+    def recording_fork():
+        forked_from.append((threading.current_thread(), threading.active_count()))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    threads = threading.active_count()
+    try:
+        *pids, ignored = cli._solve_rows(ExperimentConfig(jobs=2), SMALL_PAIR, SMALL_REF,
+                                         ["pid", "pid", "ctrl-c"])
+    except KeyboardInterrupt:
+        pytest.fail("a worker took Ctrl-C")
+    assert os.getpid() not in pids and ignored == "ignored"
+    assert forked_from == [(threading.current_thread(), threads)] * 2
+    assert multiprocessing.active_children() == []
+
+
+def solve_two_rows(log: Path, second_row: str, error) -> None:
+    """``_solve_rows`` on ``slow`` and ``second_row``: ``error``, raised under 5 s, stops ``slow``."""
     t0 = time.monotonic()
-    with pytest.raises(cli.DivergenceError):
-        cli._solve_rows(cfg, None, ref, ["slow", "fails"])
+    with pytest.raises(error):
+        cli._solve_rows(ExperimentConfig(jobs=2), SMALL_PAIR, SMALL_REF, ["slow", second_row])
     assert time.monotonic() - t0 < 5
-    assert stopped == [True]
+    assert (log / "slow").read_text() == "halted"
+    assert multiprocessing.active_children() == []
+
+
+@forks
+def test_a_failed_row_stops_the_rows_queued_ahead_of_it(scripted_rows):
+    # the second row fails in its worker while the first is still running: the
+    # first must be stopped at its next iteration, not awaited
+    solve_two_rows(scripted_rows, "fails", cli.DivergenceError)
+
+
+@forks
+def test_ctrl_c_in_the_parent_stops_the_worker_rows(scripted_rows):
+    # the workers ignore Ctrl-C; the parent's KeyboardInterrupt halts them
+    solve_two_rows(scripted_rows, "interrupts", KeyboardInterrupt)
 
 
 # (file, schema line, column line, data rows at --max-iters 50) per command

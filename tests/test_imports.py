@@ -2,7 +2,8 @@
 
 ``linalg`` loads ``scipy.linalg.cython_lapack`` from its file instead of
 importing the ``scipy.linalg`` package, and nothing in ``proxsplit`` imports
-``scipy.optimize``. Each check runs in a fresh interpreter, so modules that
+``scipy.optimize``. ``proxsplit.cli`` loads its process machinery only to solve
+rows in worker processes. Each check runs in a fresh interpreter, so modules that
 other tests imported do not leak in.
 """
 
@@ -65,6 +66,16 @@ def test_import_leaves_scipy_linalg_and_optimize_unloaded():
         sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
         assert len(bqp_protocol_params(inst.a, inst.b, inst.n, sol)) == 7
         print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.optimize"))))
+    """)
+    assert out.strip() == "[]"
+
+
+def test_import_leaves_the_process_machinery_unloaded():
+    out = python("""
+        import sys
+        import proxsplit.cli
+        print(sorted(m for m in sys.modules
+                     if m.startswith(("multiprocessing", "concurrent.futures.process"))))
     """)
     assert out.strip() == "[]"
 

@@ -1,6 +1,7 @@
 """Instance generators, serialization and high-precision references."""
 
 import json
+import pickle
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from proxsplit.linalg import frob_inner, random_hermitian, toeplitz_map
 from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
 from proxsplit.prox import FixedEntrySet, prox_linear_diag1, prox_linear_sr
+from proxsplit.splitting import StopRule, run_drs
 from proxsplit.tuning import bqp_estimate
 from proxsplit.problems import (
     BqpInstance,
@@ -258,6 +260,25 @@ def test_prox_pair_f_prox_matches_the_linear_proxes_bit_for_bit(param):
             v = random_hermitian(pair.dim, rng, complex_field=complex_field)
             got, want = pair.f_prox(p, v), plain(p, v)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("protocol", [4, 5])
+def test_an_unpickled_prox_pair_solves_bit_for_bit(protocol):
+    # worker processes get their pair by pickle: the copy leaves the kept gram
+    # terms behind, keeps its g_f read-only and runs the same iterations
+    stop = StopRule(max_iters=300, opt_eps=1e-9)
+    for inst in (gen_bqp(6, 8, 0.05, 1.0, 5), gen_sr(12, 3, 2.0, 0.8, 5)):
+        pair = build_prox_pair(inst)
+        params = (Identity(), SdpHadamard(0.4, 2.0, inst.shape))
+        runs = [run_drs(pair, p, pair.zeros(), stop) for p in params]
+        copy = pickle.loads(pickle.dumps(pair, protocol=protocol))
+        assert not copy.g_f.flags.writeable and copy.f_prox.args[0].g is copy.g_f
+        assert len(copy.f_prox.args[0].terms) == 0
+        for p, (state, trace) in zip(params, runs):
+            state_c, trace_c = run_drs(copy, p, copy.zeros(), stop)
+            assert trace_c.fp_residual_sq == trace.fp_residual_sq
+            assert trace_c.opt_residual == trace.opt_residual
+            assert state_c.x.tobytes() == state.x.tobytes()
 
 
 def test_reference_solve_small_instance():

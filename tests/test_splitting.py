@@ -276,7 +276,7 @@ def plain_sr_prox(g, observed, param, v):
 
 
 def plain_drs(f_prox, g_prox, param, psi0, iters, reference):
-    """Governing iterates and the trace's three lists of the plain DRS loop."""
+    """Governing iterates and the trace's three series, as lists, of the plain DRS loop."""
     psi = psi0
     psis, fp_sq, opt_res, mse = [], [], [], []
     for _ in range(iters):
@@ -331,7 +331,7 @@ def test_drs_matches_the_plain_step_bit_for_bit(app, make_param):
     assert len(psis) == ORACLE_ITERS
     for k, (got, want) in enumerate(zip(psis, want_psis)):
         assert np.array_equal(got, want), (app, k)
-    assert (trace.fp_residual_sq, trace.opt_residual, trace.mse) == want_lists
+    assert tuple(map(list, (trace.fp_residual_sq, trace.opt_residual, trace.mse))) == want_lists
     np.testing.assert_array_equal(psi0, psi0_before)
     np.testing.assert_array_equal(inst.g_f, g_before)
 
