@@ -200,6 +200,7 @@ def protocol_params(inst, ref_pair: SolutionPair) -> dict[str, OperatorParam]:
 
 
 def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorParam:
+    """The parameter ``cfg.param_mode`` names; ``ExperimentConfig.validate`` has checked it."""
     shape = inst.shape
     mode = cfg.param_mode
     if mode == "identity":
@@ -212,20 +213,18 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
         return SdpHadamard(sdp_separate_choices(ref_pair)[0], 1.0, shape)
     if mode == "sdp-separate-beta":
         return SdpHadamard(1.0, sdp_separate_choices(ref_pair)[1], shape)
-    if mode == "sdp-joint-opt":
-        return SdpHadamard(*sdp_joint_search(ref_pair), shape)
-    raise ConfigError(f"param-mode {mode!r} is not runnable here")
+    return SdpHadamard(*sdp_joint_search(ref_pair), shape)  # sdp-joint-opt
 
 
-def solve(pair, param, stop: StopRule, psi_hook=None, workers=None):
-    """Run DRS from a zero governing iterate; ``psi_hook`` as for ``run_drs``.
+def solve(pair, param, stop: StopRule, workers=None):
+    """Run DRS from a zero governing iterate.
 
     With a process pool ``workers`` from ``_solve_rows``, one of its workers
-    runs the DRS, checking the pool's halt flag instead of ``psi_hook``, and
-    this call waits for its ``(state, trace)``.
+    runs the DRS, checking the pool's halt flag once per iteration, and this
+    call waits for its ``(state, trace)``.
     """
     if workers is None:
-        return run_drs(pair, param, pair.zeros(), stop, psi_hook)
+        return run_drs(pair, param, pair.zeros(), stop)
     return workers.submit(_solve_in_worker, pair, param, stop).result()
 
 
@@ -329,7 +328,7 @@ def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
             ThreadPoolExecutor(max_workers=jobs) as dispatch:
         try:
             workers.submit(os.getpid)  # starts the workers from this thread, before any other
-            futures = [dispatch.submit(solve, pair, param, stop, None, workers)
+            futures = [dispatch.submit(solve, pair, param, stop, workers)
                        for param in params]
             for future in as_completed(futures):
                 future.result()  # the first row to fail raises here, wherever it is queued

@@ -113,34 +113,14 @@ _HEAD_BYTES = 64
 _INFO = 28
 
 
-class _Workspace:
-    """One thread's argument buffer for a plan: its address, the ``info`` slot and the ``"a"`` slot.
-
-    ``buf`` stays referenced here while LAPACK works on addresses into it.
-    """
-
-    def __init__(self, plan: "_Plan"):
-        self.buf = np.empty(plan.nbytes, dtype=np.uint8)
-        self.buf[:_HEAD_BYTES] = plan.head
-        # a third of the time ``buf.ctypes.data`` takes
-        self.base = ctypes.addressof(ctypes.c_char.from_buffer(self.buf))
-        self.info = ctypes.c_int.from_buffer(self.buf, _INFO)
-        self.a = plan.view(self.buf, "a", plan.dtype, plan.n * plan.n).reshape(plan.n, plan.n)
-
-    def args(self, chars: tuple[bytes, ...], arg_offsets) -> tuple:
-        """A call's arguments: ``chars``, then the addresses of ``arg_offsets`` in the buffer."""
-        return (*chars, *[self.base + off for off in arg_offsets])
-
-
 class _Plan:
-    """Layout of a LAPACK call sequence's arguments inside one buffer, for one ``(n, dtype)``.
+    """One thread's LAPACK call sequence for one ``(n, dtype)``, its arguments in one buffer.
 
     The head's int and double slots are followed by named arrays, each 16-byte
-    aligned; array ``"a"`` holds the C-ordered input ``h``, which LAPACK reads
-    column by column, i.e. as ``conj(h)``. Arguments are byte offsets into the
-    buffer. Each thread gets its own buffer, made with the call arguments on
-    its first call, so concurrent calls stay independent; what ``eigenpairs``
-    returns points into it and is valid until that thread's next call.
+    aligned. Array ``"a"``, viewed as ``a``, takes the C-ordered input before
+    each ``eigenpairs`` call; LAPACK reads it column by column, i.e. as
+    ``conj(a)``, and overwrites it. Calls pass addresses into the buffer,
+    taken once. What ``eigenpairs`` returns is valid until the plan's next call.
     """
 
     def __init__(self, n: int, dtype: np.dtype, sizes: dict[str, int], ints, floats=()):
@@ -149,40 +129,27 @@ class _Plan:
         for key, size in {"a": n * n * dtype.itemsize, **sizes}.items():
             self.offsets[key] = pos
             pos += -(-max(size, 1) // 16) * 16
-        self.nbytes = pos
-        self.head = np.zeros(_HEAD_BYTES, dtype=np.uint8)
-        self.head[:32].view(np.intc)[:] = ints
-        self.head[32:32 + 8 * len(floats)].view(np.float64)[:] = floats
-        self._local = threading.local()
+        self.buf = np.zeros(pos, dtype=np.uint8)
+        self.buf[:32].view(np.intc)[:] = ints
+        self.buf[32:32 + 8 * len(floats)].view(np.float64)[:] = floats
+        # a third of the time ``buf.ctypes.data`` takes
+        self.base = ctypes.addressof(ctypes.c_char.from_buffer(self.buf))
+        self.info = ctypes.c_int.from_buffer(self.buf, _INFO)
+        self.a = self.view("a", dtype, n * n).reshape(n, n)
 
-    def view(self, buf: np.ndarray, key: str, dtype, count: int) -> np.ndarray:
+    def view(self, key: str, dtype, count: int) -> np.ndarray:
         start = self.offsets[key]
-        return buf[start:start + count * np.dtype(dtype).itemsize].view(dtype)
+        return self.buf[start:start + count * np.dtype(dtype).itemsize].view(dtype)
 
-    def workspace(self) -> _Workspace:
-        """The calling thread's workspace; its ``a`` slot takes the next call's input."""
-        ws = getattr(self._local, "ws", None)
-        if ws is None:
-            ws = self._local.ws = self._bind(_Workspace(self))
-        return ws
+    def args(self, chars: tuple[bytes, ...], arg_offsets) -> tuple:
+        """A call's arguments: ``chars``, then the addresses of ``arg_offsets`` in the buffer."""
+        return (*chars, *[self.base + off for off in arg_offsets])
 
-    def _bind(self, ws: _Workspace) -> _Workspace:
-        """Attach this plan's call arguments and result views to a new workspace."""
-        raise NotImplementedError
-
-    def _load(self, h: np.ndarray) -> _Workspace:
-        """This thread's workspace with ``h`` in its ``a`` slot, unless ``h`` is that slot."""
-        ws = self.workspace()
-        if h is not ws.a:
-            ws.a[...] = h
-        return ws
-
-    @staticmethod
-    def run(ws: _Workspace, routine, args: tuple) -> None:
+    def run(self, routine, args: tuple) -> None:
         """Call ``routine`` on ``args``; ``info != 0`` raises ``LinAlgError``."""
         routine(*args)
-        if ws.info.value != 0:
-            raise np.linalg.LinAlgError(f"eigensolver failed (info={ws.info.value})")
+        if self.info.value != 0:
+            raise np.linalg.LinAlgError(f"eigensolver failed (info={self.info.value})")
 
 
 class _EvrPlan(_Plan):
@@ -199,10 +166,10 @@ class _EvrPlan(_Plan):
         # int slots: n, ld, il = iu, lwork, lrwork, liwork, m, info; doubles: vl, vu, abstol
         super().__init__(n, dtype, sizes, (n, max(n, 1), 1, lwork, lrwork, liwork, 0, 0),
                          (0.0, np.inf, 0.0))
-        n_, ld, idx, lw, lrw, liw, self._m = range(0, _INFO, 4)
+        n_, ld, idx, lw, lrw, liw, m = range(0, _INFO, 4)
         vl, vu, abstol = 32, 40, 48
         o = self.offsets
-        args = [n_, o["a"], ld, vl, vu, idx, idx, abstol, self._m, o["w"], o["z"], ld,
+        args = [n_, o["a"], ld, vl, vu, idx, idx, abstol, m, o["w"], o["z"], ld,
                 o["isuppz"], o["work"], lw]
         if dtype.kind == "c":
             self.routine = _ZHEEVR
@@ -210,31 +177,25 @@ class _EvrPlan(_Plan):
         else:
             self.routine = _DSYEVR
             args += [o["iwork"], liw, _INFO]
-        self.arg_offsets = tuple(args)
-
-    def _bind(self, ws):
-        ws.evr = ws.args((b"V", b"V", b"L"), self.arg_offsets)
-        ws.m = ctypes.c_int.from_buffer(ws.buf, self._m)
-        ws.w = self.view(ws.buf, "w", np.float64, self.n)
-        ws.z = self.view(ws.buf, "z", self.dtype, self.n * self.n).reshape(self.n, self.n)
-        return ws
+        self.evr_args = self.args((b"V", b"V", b"L"), args)
+        self.m = ctypes.c_int.from_buffer(self.buf, m)
+        self.w = self.view("w", np.float64, n)
+        self.z = self.view("z", dtype, n * n).reshape(n, n)
 
     @classmethod
     def query(cls, n: int, dtype: np.dtype) -> "_EvrPlan":
         plan = cls(n, dtype, -1, -1, -1)
-        ws = plan.workspace()
-        plan.run(ws, plan.routine, ws.evr)
-        lwork = int(plan.view(ws.buf, "work", dtype, 1)[0].real)
-        lrwork = int(plan.view(ws.buf, "rwork", np.float64, 1)[0]) if dtype.kind == "c" else 0
-        liwork = int(plan.view(ws.buf, "iwork", np.intc, 1)[0])
+        plan.run(plan.routine, plan.evr_args)
+        lwork = int(plan.view("work", dtype, 1)[0].real)
+        lrwork = int(plan.view("rwork", np.float64, 1)[0]) if dtype.kind == "c" else 0
+        liwork = int(plan.view("iwork", np.intc, 1)[0])
         return cls(n, dtype, lwork, lrwork, liwork)
 
-    def eigenpairs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positive eigenvalues ascending and eigenvectors of ``conj(h)`` as rows, in the workspace."""
-        ws = self._load(h)
-        self.run(ws, self.routine, ws.evr)
-        r = ws.m.value
-        return ws.w[:r], ws.z[:r]
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer."""
+        self.run(self.routine, self.evr_args)
+        r = self.m.value
+        return self.w[:r], self.z[:r]
 
 
 class _StedcPlan(_Plan):
@@ -253,65 +214,57 @@ class _StedcPlan(_Plan):
                  "work": lwork * item, "rwork": lrwork * 8, "iwork": liwork * 4}
         # int slots: n, ld, lwork, lrwork, liwork, columns to transform back, unused, info
         super().__init__(n, dtype, sizes, (n, max(n, 1), lwork, lrwork, liwork, n, 0, 0))
-        n_, ld, lw, lrw, liw, self._cols = range(0, 24, 4)
+        n_, ld, lw, lrw, liw, cols = range(0, 24, 4)
         o = self.offsets
         complex_field = dtype.kind == "c"
         self.trd = _ZHETRD if complex_field else _DSYTRD
-        self.trd_args = (n_, o["a"], ld, o["d"], o["e"], o["tau"], o["work"], lw, _INFO)
-        self.stedc_args = (n_, o["d"], o["e"], o["z"], ld, o["rwork"], lrw, o["iwork"], liw, _INFO)
+        self.trd_args = self.args((b"L",), (n_, o["a"], ld, o["d"], o["e"], o["tau"], o["work"],
+                                            lw, _INFO))
+        self.stedc_args = self.args((b"I",), (n_, o["d"], o["e"], o["z"], ld, o["rwork"], lrw,
+                                              o["iwork"], liw, _INFO))
         self.mtr = _ZUNMTR if complex_field else _DORMTR
         # the argument between these is the eigenvector array, which depends on the call
-        self.mtr_head = (n_, self._cols, o["a"], ld, o["tau"])
-        self.mtr_tail = (ld, o["work"], lw, _INFO)
+        self.mtr_head = self.args((b"L", b"L", b"N"), (n_, cols, o["a"], ld, o["tau"]))
+        self.mtr_tail = self.args((), (ld, o["work"], lw, _INFO))
+        self.cols = ctypes.c_int.from_buffer(self.buf, cols)
+        self.d = self.view("d", np.float64, n)
+        self.z = self.view("z", np.float64, n * n).reshape(n, n)
+        if complex_field:
+            self.c = self.view("c", dtype, n * n).reshape(n, n)
 
-    def _bind(self, ws):
-        n = self.n
-        ws.trd = ws.args((b"L",), self.trd_args)
-        ws.stedc = ws.args((b"I",), self.stedc_args)
-        ws.mtr_head = ws.args((b"L", b"L", b"N"), self.mtr_head)
-        ws.mtr_tail = ws.args((), self.mtr_tail)
-        ws.cols = ctypes.c_int.from_buffer(ws.buf, self._cols)
-        ws.d = self.view(ws.buf, "d", np.float64, n)
-        ws.z = self.view(ws.buf, "z", np.float64, n * n).reshape(n, n)
-        if self.dtype.kind == "c":
-            ws.c = self.view(ws.buf, "c", self.dtype, n * n).reshape(n, n)
-        return ws
-
-    def _back_transform(self, ws: _Workspace, first: int) -> np.ndarray:
+    def _back_transform(self, first: int) -> np.ndarray:
         """Apply the reduction's reflectors to tridiagonal eigenvectors ``first``, ..., ``n - 1``."""
         r = self.n - first
-        ws.cols.value = r
+        self.cols.value = r
         if self.dtype.kind == "c":
-            rows = ws.c[:r]
-            rows[...] = ws.z[first:]
-            c = ws.base + self.offsets["c"]
+            rows = self.c[:r]
+            rows[...] = self.z[first:]
+            c = self.base + self.offsets["c"]
         else:
-            rows = ws.z[first:]  # in place: the columns are contiguous
-            c = ws.base + self.offsets["z"] + first * self.n * 8
-        self.run(ws, self.mtr, (*ws.mtr_head, c, *ws.mtr_tail))
+            rows = self.z[first:]  # in place: the columns are contiguous
+            c = self.base + self.offsets["z"] + first * self.n * 8
+        self.run(self.mtr, (*self.mtr_head, c, *self.mtr_tail))
         return rows
 
     @classmethod
     def query(cls, n: int, dtype: np.dtype) -> "_StedcPlan":
         plan = cls(n, dtype, -1, -1, -1)
-        ws = plan.workspace()
-        plan.run(ws, plan.trd, ws.trd)
-        lwork = int(plan.view(ws.buf, "work", dtype, 1)[0].real)
-        plan.run(ws, _DSTEDC, ws.stedc)
-        lrwork = int(plan.view(ws.buf, "rwork", np.float64, 1)[0])
-        liwork = int(plan.view(ws.buf, "iwork", np.intc, 1)[0])
-        plan._back_transform(ws, 0)
-        lwork = max(lwork, int(plan.view(ws.buf, "work", dtype, 1)[0].real))
+        plan.run(plan.trd, plan.trd_args)
+        lwork = int(plan.view("work", dtype, 1)[0].real)
+        plan.run(_DSTEDC, plan.stedc_args)
+        lrwork = int(plan.view("rwork", np.float64, 1)[0])
+        liwork = int(plan.view("iwork", np.intc, 1)[0])
+        plan._back_transform(0)
+        lwork = max(lwork, int(plan.view("work", dtype, 1)[0].real))
         return cls(n, dtype, lwork, lrwork, liwork)
 
-    def eigenpairs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positive eigenvalues ascending and eigenvectors of ``conj(h)`` as rows, in the workspace."""
-        ws = self._load(h)
-        self.run(ws, self.trd, ws.trd)
-        self.run(ws, _DSTEDC, ws.stedc)
-        w = ws.d  # ascending
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer."""
+        self.run(self.trd, self.trd_args)
+        self.run(_DSTEDC, self.stedc_args)
+        w = self.d  # ascending
         first = int(np.searchsorted(w, 0.0, side="right"))
-        return w[first:], self._back_transform(ws, first)
+        return w[first:], self._back_transform(first)
 
 
 #: Divide and conquer replaces the partial solve when
@@ -326,10 +279,26 @@ _STEDC_CROSSOVER = 8
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
 
 
-@functools.lru_cache(maxsize=None)
+class _ThreadPlans(threading.local):
+    """The calling thread's plans by ``(kind, n, dtype)``."""
+
+    def __init__(self):
+        self.by_key = {}
+
+
+_plans = _ThreadPlans()
+
+
 def _plan(kind: type, n: int, dtype: np.dtype) -> _Plan:
-    """Plan with LAPACK's optimal workspace sizes for ``(n, dtype)``, queried once."""
-    return kind.query(n, dtype)
+    """The calling thread's plan, sized by LAPACK's workspace query on the thread's first call.
+
+    No buffer is shared between threads, so concurrent calls stay independent.
+    """
+    key = (kind, n, dtype)
+    plan = _plans.by_key.get(key)
+    if plan is None:
+        plan = _plans.by_key[key] = kind.query(n, dtype)
+    return plan
 
 
 def _solver(n: int, complex_field: bool, expected_rank: int) -> _Plan:
@@ -351,9 +320,10 @@ def positive_eigenpairs(h: np.ndarray, expected_rank: int = 1) -> tuple[np.ndarr
     ``h`` must be exactly Hermitian, since LAPACK reads one triangle only.
     """
     plan = _solver(h.shape[0], np.iscomplexobj(h), expected_rank)
-    w, rows = plan.eigenpairs(h)
+    plan.a[...] = h
+    w, rows = plan.eigenpairs()
     # LAPACK worked on conj(h) and returns its eigenvectors as the rows of a
-    # C-ordered array; both results are copied out of the workspace.
+    # C-ordered array; both results are copied out of the plan's buffer.
     return w.copy(), np.conjugate(rows).T
 
 
@@ -362,14 +332,15 @@ def project_psd(m, expected_rank: int = 1) -> np.ndarray:
 
     Built from the positive eigenpairs alone. ``expected_rank`` is the
     number of positive eigenvalues the caller's model predicts; it selects
-    the eigensolver, not the result.
+    the eigensolver, not the result. The result is float64, or complex128
+    for complex input, whatever the rank.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("project_psd expects a square matrix")
     plan = _solver(m.shape[0], np.iscomplexobj(m), expected_rank)
     # the Hermitian part goes straight into the eigensolver's input slot
-    h = plan.workspace().a
+    h = plan.a
     np.add(m, m.conj().T, out=h)
     h *= 0.5
     # Checked after symmetrizing, so entries above about 9e307 that overflow
@@ -377,11 +348,11 @@ def project_psd(m, expected_rank: int = 1) -> np.ndarray:
     # fraction of the cost; the entrywise test settles an overflowing sum.
     if not np.isfinite(h.sum()) and not np.isfinite(h).all():
         raise ValueError("project_psd: non-finite entries (or overflow while symmetrizing)")
-    w, rows = plan.eigenpairs(h)
+    w, rows = plan.eigenpairs()
     if w.size == m.shape[0]:
-        return hermitian_part(m)  # LAPACK has overwritten h
+        return hermitian_part(m).astype(h.dtype, copy=False)  # LAPACK has overwritten h
     if w.size == 0:
-        return np.zeros_like(hermitian_part(m))
+        return np.zeros_like(h)
     # the eigenvectors are rows.conj().T, so the projection is their product
     # with rows; it is averaged with its conjugate transpose in place
     p = (rows.conj().T * w) @ rows

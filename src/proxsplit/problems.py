@@ -107,13 +107,32 @@ def _min_circular_gap(taus: np.ndarray) -> float:
     return float(np.min(np.diff(t, append=t[0] + 1.0)))
 
 
-def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int,
-           max_tries: int = 100_000) -> SrInstance:
+#: ``gen_sr`` redraws uniform spike locations while all are separated with at
+#: least this probability, and samples the gaps directly below it.
+_SR_REDRAW_MIN_P = 1e-3
+#: Draws of spike locations before ``gen_sr`` gives up.
+_SR_MAX_TRIES = 100_000
+
+
+def _separated_locations(rng: np.random.Generator, k: int, gap: float) -> np.ndarray:
+    """``k`` uniform points on the unit circle conditioned on circular gaps of at least ``gap``.
+
+    Uniform points cut the circle at Dirichlet(1, ..., 1) spacings; given that
+    each is at least ``gap``, they are ``gap`` plus the rest of the circle cut
+    the same way. A uniform offset places the first point.
+    """
+    spacing = rng.exponential(size=k)
+    spacing = gap + (1.0 - k * gap) * (spacing / spacing.sum())
+    return (rng.random() + np.cumsum(spacing)) % 1.0
+
+
+def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int) -> SrInstance:
     """Random separated point sources, Gaussian amplitudes, partial observations.
 
-    Spike locations are drawn uniformly on the circle and redrawn until every
-    circular gap is at least ``1/n``; amplitudes are real Gaussian; a fixed
-    fraction of the samples is observed. Non-finite data raise ``ValueError``.
+    Spike locations are uniform on the circle given that every circular gap
+    is at least ``1/n``, which uniform draws meet with probability
+    ``(1 - k/n)^(k-1)``. Amplitudes are real Gaussian; a fixed fraction of
+    the samples is observed. Non-finite data raise ``ValueError``.
     """
     if n < 1 or k < 1 or sigma <= 0:
         raise ValueError("need positive dimensions and amplitude scale")
@@ -121,9 +140,12 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int,
         raise ValueError("observed fraction must lie in (0, 1]")
     if k > n:
         raise ValueError("cannot separate more spikes than samples")
+    if k == n > 1:  # only evenly spaced spikes are 1/n apart, which rounding may undo
+        raise RuntimeError("failed to draw separated spike locations: k = n leaves no slack")
     rng = np.random.default_rng([seed, 0])
-    for _ in range(max_tries):
-        taus = rng.random(k)
+    redraw = (1.0 - k / n) ** (k - 1) >= _SR_REDRAW_MIN_P
+    for _ in range(_SR_MAX_TRIES):
+        taus = rng.random(k) if redraw else _separated_locations(rng, k, 1.0 / n)
         if _min_circular_gap(taus) >= 1.0 / n:
             break
     else:

@@ -624,7 +624,7 @@ def test_diverging_solve_exits_two(tmp_path, capsys, command):
 
 def test_unseparable_sr_spikes_exit_one(tmp_path, capsys):
     # two spikes at least 1/2 apart on the unit circle must be exactly antipodal,
-    # so every random draw is rejected until the generator gives up
+    # which no draw can promise after rounding, so the generator refuses
     out = tmp_path / "inst.json"
     assert main(["gen", "--app", "sr", "--n", "2", "--k", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err

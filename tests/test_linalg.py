@@ -160,7 +160,9 @@ def test_expected_rank_selects_the_eigensolver(complex_field):
         h = spectrum_case("mixed", n, complex_field, seed=n)
         for expected_rank, kind in ((1, linalg._EvrPlan), (n, linalg._StedcPlan)):
             w, v = linalg.positive_eigenpairs(h, expected_rank)
-            w_plan, rows = linalg._plan(kind, n, dtype).eigenpairs(h)
+            plan = linalg._plan(kind, n, dtype)
+            plan.a[...] = h
+            w_plan, rows = plan.eigenpairs()
             np.testing.assert_array_equal(w, w_plan)
             np.testing.assert_array_equal(v, rows.conj().T)
 
@@ -212,7 +214,7 @@ def test_lapack_routines_are_gil_releasing_ctypes_functions():
 
 
 def test_concurrent_projections_match_serial_results():
-    # every thread gets its own LAPACK workspace, which `sweep --jobs` relies on
+    # every thread gets its own LAPACK plans, which library callers on threads rely on
     rng = np.random.default_rng(5)
     cases = [(spectrum_case(kind, n, complex_field, seed=int(rng.integers(1 << 30))), rank)
              for kind in ("low-rank", "mixed")
@@ -245,6 +247,48 @@ def test_concurrent_projections_match_serial_results():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and mismatches == []
+
+
+def test_plans_belong_to_one_thread():
+    # a thread reuses its plan; another thread gets its own, with its own buffer
+    dtype = np.dtype(float)
+    mine = linalg._plan(linalg._EvrPlan, 7, dtype)
+    assert linalg._plan(linalg._EvrPlan, 7, dtype) is mine
+    theirs = []
+
+    def worker():
+        theirs.append(linalg._plan(linalg._EvrPlan, 7, dtype))
+        theirs.append(linalg._plan(linalg._EvrPlan, 7, dtype))
+
+    t = threading.Thread(target=worker)
+    t.start()
+    t.join(timeout=60)
+    assert len(theirs) == 2 and theirs[0] is theirs[1]
+    assert theirs[0] is not mine and not np.shares_memory(theirs[0].buf, mine.buf)
+    assert linalg._plan(linalg._EvrPlan, 7, dtype) is mine
+
+
+@pytest.mark.parametrize("dtype, result", [(np.float32, np.float64), (np.int64, np.float64),
+                                           (np.float64, np.float64),
+                                           (np.complex64, np.complex128),
+                                           (np.complex128, np.complex128)])
+def test_project_psd_returns_the_solver_dtype_at_every_rank(dtype, result):
+    # full rank, zero rank and a partial rank take three different return paths
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    double = np.dtype(dtype) == result
+    for w in ([1, 2, 3, 4, 5, 6], [-1, -2, -3, -4, -5, -6], [3, 2, -1, -4, -5, -6]):
+        m = ((q * w) @ q.T).astype(dtype)
+        for expected_rank in (1, 6):
+            p = project_psd(m, expected_rank=expected_rank)
+            assert p.dtype == result
+            if double and max(w) < 0:
+                np.testing.assert_array_equal(p, np.zeros_like(m))
+            elif double and min(w) > 0:  # the bits of the Hermitian part, as before
+                np.testing.assert_array_equal(p, hermitian_part(m))
+            else:
+                expected = psd_oracle(hermitian_part(m.astype(result)))
+                np.testing.assert_allclose(p, expected, rtol=0, atol=1e-5)
 
 
 def test_project_nsd_mirrors_psd():

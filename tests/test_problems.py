@@ -15,6 +15,7 @@ from proxsplit.tuning import bqp_estimate
 from proxsplit.problems import (
     BqpInstance,
     SrInstance,
+    _separated_locations,
     bqp_multipliers,
     bqp_objective,
     build_prox_pair,
@@ -101,6 +102,26 @@ def test_gen_sr_objective_matrix():
     assert g[20, 20] == 0.5
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_gen_sr_separates_spikes_where_uniform_draws_rarely_do(seed):
+    # uniform draws would all be separated with probability (1/2)^24 = 6e-8
+    inst = gen_sr(50, 25, 2.0, 0.8, seed)
+    assert np.all((0 <= inst.taus) & (inst.taus < 1))
+    assert circular_gap(inst.taus) >= 1.0 / 50
+
+
+def test_gen_sr_direct_gaps_follow_the_conditioned_uniform_law():
+    # given gaps of at least d, k uniform points have a minimum gap of mean
+    # d + (1 - k d) / k^2, the mean smallest of k Dirichlet(1, ..., 1) spacings
+    rng = np.random.default_rng(9)
+    k, d = 20, 1.0 / 40
+    gaps = [circular_gap(_separated_locations(rng, k, d)) for _ in range(4000)]
+    mean = d + (1 - k * d) / k ** 2
+    # the excess over d is close to exponential: its standard error is about (mean - d) / 63
+    assert abs(np.mean(gaps) - mean) < 4 * (mean - d) / np.sqrt(4000)
+    assert min(gaps) >= d
+
+
 def test_gen_sr_deterministic_in_seed():
     first = gen_sr(30, 6, 2.0, 0.8, 4)
     again = gen_sr(30, 6, 2.0, 0.8, 4)
@@ -145,9 +166,10 @@ def test_gen_sr_validation():
 
 def test_gen_sr_gives_up_when_separation_is_impossible():
     # ten spikes on the circle with gaps of at least 1/10 would need every
-    # gap to be exactly 1/10, which random draws never hit
-    with pytest.raises(RuntimeError):
-        gen_sr(10, 10, 1.0, 0.8, 0, max_tries=200)
+    # gap to be exactly 1/10, which rounding may undo, so none is drawn
+    with pytest.raises(RuntimeError, match="separated spike locations"):
+        gen_sr(10, 10, 1.0, 0.8, 0)
+    assert gen_sr(1, 1, 1.0, 0.8, 0).taus.shape == (1,)
 
 
 def test_save_load_bqp_roundtrip(tmp_path):
