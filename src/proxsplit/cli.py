@@ -401,8 +401,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     path = _outdir(cfg, ref) / "sweep.csv"
     _write_csv(path, SWEEP_SCHEMA, ("alpha", "beta", "iterations", "final_mse"),
                [(a, b, trace.iterations, trace.mse[-1]) for (a, b), trace in zip(cells, traces)])
+    capped = [(a, b, trace) for (a, b), trace in zip(cells, traces) if not trace.converged]
+    for a, b, trace in capped:
+        print(f"alpha={a:g} beta={b:g}: {trace.iterations} iterations, "
+              f"final_mse={trace.mse[-1]:.3g}  (hit cap)")
     print(f"swept {len(cells)} cells -> {path}")
-    return 0
+    return 2 if capped else 0
 
 
 def cmd_protocol(cfg: ExperimentConfig) -> int:

@@ -99,43 +99,81 @@ def _capsule_function(name: str, n_chars: int, n_args: int):
     return prototype(address)
 
 
-_DSYEVR = _capsule_function("dsyevr", 3, 21)
-_ZHEEVR = _capsule_function("zheevr", 3, 23)
-_DSYTRD = _capsule_function("dsytrd", 1, 10)
-_ZHETRD = _capsule_function("zhetrd", 1, 10)
+_DSYTD2 = _capsule_function("dsytd2", 1, 8)
+_ZHETD2 = _capsule_function("zhetd2", 1, 8)
+_DSTEMR = _capsule_function("dstemr", 2, 21)
 _DSTEDC = _capsule_function("dstedc", 1, 11)
 _DORMTR = _capsule_function("dormtr", 3, 13)
 _ZUNMTR = _capsule_function("zunmtr", 3, 13)
 
-#: Bytes before the arrays in a plan's buffer: eight C int slots at byte
-#: offsets 0, 4, ..., 28, the last one LAPACK's ``info``, then three doubles.
-_HEAD_BYTES = 64
-_INFO = 28
+#: A plan's buffer starts with eight C int slots at these byte offsets, the
+#: last one LAPACK's ``info``, then the doubles ``vl`` and ``vu``.
+_N, _LD, _M, _TRYRAC, _LWORK, _LIWORK, _COLS, _INFO = range(0, 32, 4)
+_VL, _VU = 32, 40
+_HEAD_BYTES = 48
 
 
 class _Plan:
-    """One thread's LAPACK call sequence for one ``(n, dtype)``, its arguments in one buffer.
+    """One thread's eigensolver for one ``(n, dtype)``, its LAPACK arguments in one buffer.
 
-    The head's int and double slots are followed by named arrays, each 16-byte
-    aligned. Array ``"a"``, viewed as ``a``, takes the C-ordered input before
-    each ``eigenpairs`` call; LAPACK reads it column by column, i.e. as
+    ``dsytd2``/``zhetd2`` reduce the input to a real tridiagonal matrix, whose
+    positive eigenpairs come from one of two solvers:
+
+    - ``dstemr`` (MRRR) on ``(0, +inf)``, for the positive eigenvalues alone,
+      at a cost that grows with their number;
+    - ``dstedc`` (divide and conquer), for every eigenpair, at a cost that
+      does not.
+
+    ``dormtr``/``zunmtr`` then transform back only the positive eigenvectors;
+    complex input needs them copied into the complex array ``"c"`` first.
+    Every workspace has the size LAPACK documents as its minimum, so the
+    back-transformation runs unblocked, like the reduction.
+
+    The head's slots are followed by named arrays, each 16-byte aligned.
+    Array ``"a"``, viewed as ``a``, takes the C-ordered input before each
+    ``eigenpairs`` call; LAPACK reads it column by column, i.e. as
     ``conj(a)``, and overwrites it. Calls pass addresses into the buffer,
     taken once. What ``eigenpairs`` returns is valid until the plan's next call.
     """
 
-    def __init__(self, n: int, dtype: np.dtype, sizes: dict[str, int], ints, floats=()):
-        self.n, self.dtype = n, dtype
+    def __init__(self, n: int, dtype: np.dtype):
+        self.n = n
+        item, complex_field = dtype.itemsize, dtype.kind == "c"
+        # dstemr needs 18 n and 10 n, dstedc 1 + 4 n + n^2 and 3 + 5 n
+        lwork, liwork = max(1, 18 * n, 1 + 4 * n + n * n), max(1, 10 * n)
+        sizes = {"a": n * n * item, "d": n * 8, "e": n * 8, "tau": n * item, "w": n * 8,
+                 "z": n * n * 8, "c": n * n * item if complex_field else 0,
+                 "isuppz": 2 * n * 4, "work": lwork * 8, "iwork": liwork * 4}
         self.offsets, pos = {}, _HEAD_BYTES
-        for key, size in {"a": n * n * dtype.itemsize, **sizes}.items():
+        for key, size in sizes.items():
             self.offsets[key] = pos
             pos += -(-max(size, 1) // 16) * 16
         self.buf = np.zeros(pos, dtype=np.uint8)
-        self.buf[:32].view(np.intc)[:] = ints
-        self.buf[32:32 + 8 * len(floats)].view(np.float64)[:] = floats
+        # the back-transformation's workspace, max(1, n), is the leading dimension
+        self.buf[:_VL].view(np.intc)[:] = (n, max(n, 1), 0, 1, lwork, liwork, n, 0)
+        self.buf[_VL:_HEAD_BYTES].view(np.float64)[:] = (0.0, np.inf)
         # a third of the time ``buf.ctypes.data`` takes
         self.base = ctypes.addressof(ctypes.c_char.from_buffer(self.buf))
-        self.info = ctypes.c_int.from_buffer(self.buf, _INFO)
+        self.info, self.m, self.tryrac, self.cols = (
+            ctypes.c_int.from_buffer(self.buf, slot) for slot in (_INFO, _M, _TRYRAC, _COLS))
         self.a = self.view("a", dtype, n * n).reshape(n, n)
+        self.d, self.w = self.view("d", np.float64, n), self.view("w", np.float64, n)
+        self.z = self.view("z", np.float64, n * n).reshape(n, n)
+        self.c = self.view("c", dtype, n * n).reshape(n, n) if complex_field else None
+
+        o = self.offsets
+        self.trd = _ZHETD2 if complex_field else _DSYTD2
+        self.trd_args = self.args((b"L",), (_N, o["a"], _LD, o["d"], o["e"], o["tau"], _INFO))
+        # il and iu are not read on a value range; nzc = n columns hold any count
+        self.stemr_args = self.args((b"V", b"V"), (
+            _N, o["d"], o["e"], _VL, _VU, _N, _N, _M, o["w"], o["z"], _LD, _N, o["isuppz"],
+            _TRYRAC, o["work"], _LWORK, o["iwork"], _LIWORK, _INFO))
+        self.stedc_args = self.args((b"I",), (_N, o["d"], o["e"], o["z"], _LD, o["work"], _LWORK,
+                                              o["iwork"], _LIWORK, _INFO))
+        self.mtr = _ZUNMTR if complex_field else _DORMTR
+        # the argument between these is the eigenvector array, which depends on the call
+        self.mtr_head = self.args((b"L", b"L", b"N"), (_N, _COLS, o["a"], _LD, o["tau"]))
+        self.mtr_tail = self.args((), (_LD, o["work"], _LD, _INFO))
 
     def view(self, key: str, dtype, count: int) -> np.ndarray:
         start = self.offsets[key]
@@ -151,128 +189,40 @@ class _Plan:
         if self.info.value != 0:
             raise np.linalg.LinAlgError(f"eigensolver failed (info={self.info.value})")
 
+    def eigenpairs(self, mrrr: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer.
 
-class _EvrPlan(_Plan):
-    """One ``dsyevr``/``zheevr`` call on the eigenvalue range ``(0, +inf)``.
-
-    Bisection and inverse iteration run for the positive eigenvalues alone,
-    so the cost after the tridiagonal reduction grows with their number.
-    """
-
-    def __init__(self, n: int, dtype: np.dtype, lwork: int, lrwork: int, liwork: int):
-        item = dtype.itemsize
-        sizes = {"z": n * n * item, "w": n * 8, "isuppz": 2 * n * 4,
-                 "work": lwork * item, "rwork": lrwork * 8, "iwork": liwork * 4}
-        # int slots: n, ld, il = iu, lwork, lrwork, liwork, m, info; doubles: vl, vu, abstol
-        super().__init__(n, dtype, sizes, (n, max(n, 1), 1, lwork, lrwork, liwork, 0, 0),
-                         (0.0, np.inf, 0.0))
-        n_, ld, idx, lw, lrw, liw, m = range(0, _INFO, 4)
-        vl, vu, abstol = 32, 40, 48
-        o = self.offsets
-        args = [n_, o["a"], ld, vl, vu, idx, idx, abstol, m, o["w"], o["z"], ld,
-                o["isuppz"], o["work"], lw]
-        if dtype.kind == "c":
-            self.routine = _ZHEEVR
-            args += [o["rwork"], lrw, o["iwork"], liw, _INFO]
-        else:
-            self.routine = _DSYEVR
-            args += [o["iwork"], liw, _INFO]
-        self.evr_args = self.args((b"V", b"V", b"L"), args)
-        self.m = ctypes.c_int.from_buffer(self.buf, m)
-        self.w = self.view("w", np.float64, n)
-        self.z = self.view("z", dtype, n * n).reshape(n, n)
-
-    @classmethod
-    def query(cls, n: int, dtype: np.dtype) -> "_EvrPlan":
-        plan = cls(n, dtype, -1, -1, -1)
-        plan.run(plan.routine, plan.evr_args)
-        lwork = int(plan.view("work", dtype, 1)[0].real)
-        lrwork = int(plan.view("rwork", np.float64, 1)[0]) if dtype.kind == "c" else 0
-        liwork = int(plan.view("iwork", np.intc, 1)[0])
-        return cls(n, dtype, lwork, lrwork, liwork)
-
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer."""
-        self.run(self.routine, self.evr_args)
-        r = self.m.value
-        return self.w[:r], self.z[:r]
-
-
-class _StedcPlan(_Plan):
-    """``dsytrd``/``zhetrd``, then ``dstedc``, then ``dormtr``/``zunmtr`` on the positive columns.
-
-    Divide and conquer finds every eigenpair of the real tridiagonal matrix
-    at a cost that does not grow with the number of positive eigenvalues;
-    only their eigenvectors are transformed back. Complex input needs its
-    real tridiagonal eigenvectors copied into the complex array ``"c"`` first.
-    """
-
-    def __init__(self, n: int, dtype: np.dtype, lwork: int, lrwork: int, liwork: int):
-        item = dtype.itemsize
-        sizes = {"d": n * 8, "e": n * 8, "tau": n * item, "z": n * n * 8,
-                 "c": n * n * item if dtype.kind == "c" else 0,
-                 "work": lwork * item, "rwork": lrwork * 8, "iwork": liwork * 4}
-        # int slots: n, ld, lwork, lrwork, liwork, columns to transform back, unused, info
-        super().__init__(n, dtype, sizes, (n, max(n, 1), lwork, lrwork, liwork, n, 0, 0))
-        n_, ld, lw, lrw, liw, cols = range(0, 24, 4)
-        o = self.offsets
-        complex_field = dtype.kind == "c"
-        self.trd = _ZHETRD if complex_field else _DSYTRD
-        self.trd_args = self.args((b"L",), (n_, o["a"], ld, o["d"], o["e"], o["tau"], o["work"],
-                                            lw, _INFO))
-        self.stedc_args = self.args((b"I",), (n_, o["d"], o["e"], o["z"], ld, o["rwork"], lrw,
-                                              o["iwork"], liw, _INFO))
-        self.mtr = _ZUNMTR if complex_field else _DORMTR
-        # the argument between these is the eigenvector array, which depends on the call
-        self.mtr_head = self.args((b"L", b"L", b"N"), (n_, cols, o["a"], ld, o["tau"]))
-        self.mtr_tail = self.args((), (ld, o["work"], lw, _INFO))
-        self.cols = ctypes.c_int.from_buffer(self.buf, cols)
-        self.d = self.view("d", np.float64, n)
-        self.z = self.view("z", np.float64, n * n).reshape(n, n)
-        if complex_field:
-            self.c = self.view("c", dtype, n * n).reshape(n, n)
-
-    def _back_transform(self, first: int) -> np.ndarray:
-        """Apply the reduction's reflectors to tridiagonal eigenvectors ``first``, ..., ``n - 1``."""
-        r = self.n - first
-        self.cols.value = r
-        if self.dtype.kind == "c":
-            rows = self.c[:r]
-            rows[...] = self.z[first:]
-            c = self.base + self.offsets["c"]
-        else:
-            rows = self.z[first:]  # in place: the columns are contiguous
-            c = self.base + self.offsets["z"] + first * self.n * 8
-        self.run(self.mtr, (*self.mtr_head, c, *self.mtr_tail))
-        return rows
-
-    @classmethod
-    def query(cls, n: int, dtype: np.dtype) -> "_StedcPlan":
-        plan = cls(n, dtype, -1, -1, -1)
-        plan.run(plan.trd, plan.trd_args)
-        lwork = int(plan.view("work", dtype, 1)[0].real)
-        plan.run(_DSTEDC, plan.stedc_args)
-        lrwork = int(plan.view("rwork", np.float64, 1)[0])
-        liwork = int(plan.view("iwork", np.intc, 1)[0])
-        plan._back_transform(0)
-        lwork = max(lwork, int(plan.view("work", dtype, 1)[0].real))
-        return cls(n, dtype, lwork, lrwork, liwork)
-
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer."""
+        ``mrrr`` picks ``dstemr`` over ``dstedc``.
+        """
         self.run(self.trd, self.trd_args)
-        self.run(_DSTEDC, self.stedc_args)
-        w = self.d  # ascending
-        first = int(np.searchsorted(w, 0.0, side="right"))
-        return w[first:], self._back_transform(first)
+        if mrrr:
+            # in and out: dstemr clears it for a matrix that does not define its
+            # eigenvalues to high relative accuracy, which must not carry over
+            self.tryrac.value = 1
+            self.run(_DSTEMR, self.stemr_args)
+            first, w = 0, self.w[:self.m.value]
+        else:
+            self.run(_DSTEDC, self.stedc_args)
+            first = int(np.searchsorted(self.d, 0.0, side="right"))  # ascending
+            w = self.d[first:]
+        # apply the reduction's reflectors to tridiagonal eigenvectors first, ..., first + r - 1
+        r = self.cols.value = w.size
+        if self.c is None:
+            rows = self.z[first:first + r]  # in place: the columns are contiguous
+            c = self.base + self.offsets["z"] + first * self.n * 8
+        else:
+            rows = self.c[:r]
+            rows[...] = self.z[first:first + r]
+            c = self.base + self.offsets["c"]
+        self.run(self.mtr, (*self.mtr_head, c, *self.mtr_tail))
+        return w, rows
 
 
-#: Divide and conquer replaces the partial solve when
-#: ``_STEDC_CROSSOVER * (expected_rank - 1) > n``, ``expected_rank`` being the
-#: caller's prediction of the number of positive eigenvalues. Timed on real
-#: and complex inputs of dimension 8 to 101 with one BLAS thread, the partial
-#: solve wins at one positive eigenvalue for every dimension, and the two
-#: break even between 8 and 13 positive eigenvalues for dimensions 41 to 101.
+#: ``dstedc`` replaces ``dstemr`` when ``_STEDC_CROSSOVER * (expected_rank - 1) > n``,
+#: ``expected_rank`` being the caller's prediction of the number of positive
+#: eigenvalues. Timed on random real and complex inputs of dimension 21 to 101
+#: with one BLAS thread, ``dstemr`` wins at one positive eigenvalue for every
+#: dimension, and the two break even between 7 and 21 positive eigenvalues.
 _STEDC_CROSSOVER = 8
 
 
@@ -280,7 +230,7 @@ _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
 
 
 class _ThreadPlans(threading.local):
-    """The calling thread's plans by ``(kind, n, dtype)``."""
+    """The calling thread's plans by ``(n, dtype)``."""
 
     def __init__(self):
         self.by_key = {}
@@ -289,22 +239,21 @@ class _ThreadPlans(threading.local):
 _plans = _ThreadPlans()
 
 
-def _plan(kind: type, n: int, dtype: np.dtype) -> _Plan:
-    """The calling thread's plan, sized by LAPACK's workspace query on the thread's first call.
+def _plan(n: int, dtype: np.dtype) -> _Plan:
+    """The calling thread's plan, made on the thread's first call.
 
     No buffer is shared between threads, so concurrent calls stay independent.
     """
-    key = (kind, n, dtype)
-    plan = _plans.by_key.get(key)
+    plan = _plans.by_key.get((n, dtype))
     if plan is None:
-        plan = _plans.by_key[key] = kind.query(n, dtype)
+        plan = _plans.by_key[(n, dtype)] = _Plan(n, dtype)
     return plan
 
 
-def _solver(n: int, complex_field: bool, expected_rank: int) -> _Plan:
-    """The plan ``expected_rank`` selects for an ``n x n`` input."""
-    kind = _StedcPlan if _STEDC_CROSSOVER * (expected_rank - 1) > n else _EvrPlan
-    return _plan(kind, n, _COMPLEX if complex_field else _REAL)
+def _solver(n: int, complex_field: bool, expected_rank: int) -> tuple[_Plan, bool]:
+    """The plan for an ``n x n`` input and whether ``expected_rank`` selects ``dstemr``."""
+    return (_plan(n, _COMPLEX if complex_field else _REAL),
+            _STEDC_CROSSOVER * (expected_rank - 1) <= n)
 
 
 def positive_eigenpairs(h: np.ndarray, expected_rank: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -314,14 +263,14 @@ def positive_eigenpairs(h: np.ndarray, expected_rank: int = 1) -> tuple[np.ndarr
     column, like ``np.linalg.eigh`` restricted to ``w > 0``. The tridiagonal
     reduction is paid in full, but only the positive eigenvectors are
     transformed back. ``expected_rank``, the number of positive eigenvalues
-    the caller predicts, picks how the tridiagonal matrix is solved:
-    bisection and inverse iteration for the positive eigenvalues alone when
-    few are expected, divide and conquer for all of them otherwise.
-    ``h`` must be exactly Hermitian, since LAPACK reads one triangle only.
+    the caller predicts, picks how the tridiagonal matrix is solved: MRRR
+    for the positive eigenvalues alone when few are expected, divide and
+    conquer for all of them otherwise. ``h`` must be exactly Hermitian,
+    since LAPACK reads one triangle only.
     """
-    plan = _solver(h.shape[0], np.iscomplexobj(h), expected_rank)
+    plan, mrrr = _solver(h.shape[0], np.iscomplexobj(h), expected_rank)
     plan.a[...] = h
-    w, rows = plan.eigenpairs()
+    w, rows = plan.eigenpairs(mrrr)
     # LAPACK worked on conj(h) and returns its eigenvectors as the rows of a
     # C-ordered array; both results are copied out of the plan's buffer.
     return w.copy(), np.conjugate(rows).T
@@ -338,7 +287,7 @@ def project_psd(m, expected_rank: int = 1) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("project_psd expects a square matrix")
-    plan = _solver(m.shape[0], np.iscomplexobj(m), expected_rank)
+    plan, mrrr = _solver(m.shape[0], np.iscomplexobj(m), expected_rank)
     # the Hermitian part goes straight into the eigensolver's input slot
     h = plan.a
     np.add(m, m.conj().T, out=h)
@@ -348,7 +297,7 @@ def project_psd(m, expected_rank: int = 1) -> np.ndarray:
     # fraction of the cost; the entrywise test settles an overflowing sum.
     if not np.isfinite(h.sum()) and not np.isfinite(h).all():
         raise ValueError("project_psd: non-finite entries (or overflow while symmetrizing)")
-    w, rows = plan.eigenpairs()
+    w, rows = plan.eigenpairs(mrrr)
     if w.size == m.shape[0]:
         return hermitian_part(m).astype(h.dtype, copy=False)  # LAPACK has overwritten h
     if w.size == 0:

@@ -125,6 +125,21 @@ def test_sweep_rows_iterate_beta_fastest(tmp_path):
     assert cells == [(0.5, 1.0), (0.5, 3.0), (2.0, 1.0), (2.0, 3.0)]
 
 
+def test_sweep_names_its_capped_cells_and_exits_2(tmp_path, capsys):
+    # alpha 0.01 needs 10 030 iterations and alpha 1 needs 2 190, so a cap of
+    # 5000 stops the first cell only
+    out = tmp_path / "sweep"
+    assert main(["sweep", *BQP_SMALL, "--alpha-grid", "0.01,1", "--max-iters", "5000",
+                 "--out", str(out)]) == 2
+    stdout = capsys.readouterr().out
+    assert "alpha=0.01 beta=1: 5000 iterations, final_mse=" in stdout
+    assert stdout.count("(hit cap)") == 1 and "alpha=1 " not in stdout
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[:2] == ["# proxsplit-sweep v1", "alpha,beta,iterations,final_mse"]
+    assert [row.split(",")[:3] for row in lines[2:]] == [["0.01", "1.0", "5000"],
+                                                         ["1.0", "1.0", "2190"]]
+
+
 @pytest.mark.parametrize("command", ["sweep", "protocol"])
 def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, command):
     args = [command, *BQP_SMALL]

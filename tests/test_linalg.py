@@ -158,11 +158,11 @@ def test_expected_rank_selects_the_eigensolver(complex_field):
     dtype = np.dtype(complex if complex_field else float)
     for n in (2, 9, 41, 51):
         h = spectrum_case("mixed", n, complex_field, seed=n)
-        for expected_rank, kind in ((1, linalg._EvrPlan), (n, linalg._StedcPlan)):
+        for expected_rank, mrrr in ((1, True), (n, False)):
             w, v = linalg.positive_eigenpairs(h, expected_rank)
-            plan = linalg._plan(kind, n, dtype)
+            plan = linalg._plan(n, dtype)
             plan.a[...] = h
-            w_plan, rows = plan.eigenpairs()
+            w_plan, rows = plan.eigenpairs(mrrr)
             np.testing.assert_array_equal(w, w_plan)
             np.testing.assert_array_equal(v, rows.conj().T)
 
@@ -207,8 +207,8 @@ def test_project_psd_accepts_finite_input_whose_entry_sum_overflows(dtype):
 
 def test_lapack_routines_are_gil_releasing_ctypes_functions():
     # CFUNCTYPE calls drop the GIL; PYFUNCTYPE (or an f2py wrapper) would hold it
-    for fn in (linalg._DSYEVR, linalg._ZHEEVR, linalg._DSYTRD, linalg._ZHETRD,
-               linalg._DSTEDC, linalg._DORMTR, linalg._ZUNMTR):
+    for fn in (linalg._DSYTD2, linalg._ZHETD2, linalg._DSTEMR, linalg._DSTEDC,
+               linalg._DORMTR, linalg._ZUNMTR):
         assert isinstance(fn, ctypes._CFuncPtr)
         assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
@@ -252,20 +252,65 @@ def test_concurrent_projections_match_serial_results():
 def test_plans_belong_to_one_thread():
     # a thread reuses its plan; another thread gets its own, with its own buffer
     dtype = np.dtype(float)
-    mine = linalg._plan(linalg._EvrPlan, 7, dtype)
-    assert linalg._plan(linalg._EvrPlan, 7, dtype) is mine
+    mine = linalg._plan(7, dtype)
+    assert linalg._plan(7, dtype) is mine
     theirs = []
 
     def worker():
-        theirs.append(linalg._plan(linalg._EvrPlan, 7, dtype))
-        theirs.append(linalg._plan(linalg._EvrPlan, 7, dtype))
+        theirs.append(linalg._plan(7, dtype))
+        theirs.append(linalg._plan(7, dtype))
 
     t = threading.Thread(target=worker)
     t.start()
     t.join(timeout=60)
     assert len(theirs) == 2 and theirs[0] is theirs[1]
     assert theirs[0] is not mine and not np.shares_memory(theirs[0].buf, mine.buf)
-    assert linalg._plan(linalg._EvrPlan, 7, dtype) is mine
+    assert linalg._plan(7, dtype) is mine
+
+
+def definite_blocks(n, complex_field, seed):
+    """A positive definite block beside a negative definite one, eigenvalues of size 0.5 to 1.
+
+    Its tridiagonal matrix is scaled diagonally dominant, which ``dstemr``
+    accepts for high relative accuracy; the dense cases of ``spectrum_case``
+    are not.
+    """
+    rng = np.random.default_rng(seed)
+    h = np.zeros((n, n), dtype=complex if complex_field else float)
+    k = n // 2
+    for block, sign in ((slice(0, k), 1.0), (slice(k, n), -1.0)):
+        size = block.stop - block.start
+        g = rng.standard_normal((size, size))
+        if complex_field:
+            g = g + 1j * rng.standard_normal((size, size))
+        q, _ = np.linalg.qr(g)
+        h[block, block] = (q * (sign * rng.uniform(0.5, 1.0, size))) @ q.conj().T
+    return hermitian_part(h)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_a_plan_does_not_remember_its_previous_input(complex_field):
+    # dstemr clears its in/out TRYRAC flag on input like the indefinite matrix
+    # below, and the definite blocks give other bits without the flag; each
+    # sequence starts on a new thread, so on new plans
+    n = 51 if complex_field else 41
+    indefinite = spectrum_case("mixed", n, complex_field, seed=3)
+    results = []
+
+    def sequence(h, rank):
+        first = project_psd(h, expected_rank=rank)
+        project_psd(indefinite, expected_rank=rank)
+        results.append((first, project_psd(h, expected_rank=rank)))
+
+    for seed in range(3):
+        h = definite_blocks(n, complex_field, seed)
+        for rank in (1, n):
+            t = threading.Thread(target=sequence, args=(h, rank))
+            t.start()
+            t.join(timeout=60)
+    assert len(results) == 6
+    for first, again in results:
+        assert np.array_equal(first, again)
 
 
 @pytest.mark.parametrize("dtype, result", [(np.float32, np.float64), (np.int64, np.float64),

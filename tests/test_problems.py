@@ -1,5 +1,6 @@
 """Instance generators, serialization and high-precision references."""
 
+import dataclasses
 import json
 import pickle
 from functools import partial
@@ -9,9 +10,15 @@ import pytest
 
 from proxsplit.linalg import frob_inner, random_hermitian, toeplitz_map
 from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
-from proxsplit.prox import FixedEntrySet, prox_linear_diag1, prox_linear_sr
+from proxsplit.prox import FixedEntrySet, prox_linear_diag1, prox_linear_sr, prox_psd_indicator
 from proxsplit.splitting import StopRule, run_drs
-from proxsplit.tuning import bqp_estimate
+from proxsplit.tuning import (
+    SolutionPair,
+    bqp_estimate,
+    bqp_protocol_params,
+    sr_estimate,
+    sr_protocol_params,
+)
 from proxsplit.problems import (
     BqpInstance,
     SrInstance,
@@ -340,3 +347,49 @@ def test_bqp_multipliers_recover_diagonal_structure():
     assert np.abs(resid).max() <= 1e-7
     # multipliers absorb the whole objective value on the primal solution
     assert np.sum(mu) == pytest.approx(frob_inner(ref.x_ref, inst.g_f), rel=1e-6)
+
+
+#: Seeds 0 to 9 gave equal counts too, in about 25 s; two keep the test near 5 s.
+SOLVER_SEEDS = (0, 1)
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+def test_protocol_counts_do_not_depend_on_the_tridiagonal_solver(app):
+    # an expected rank of 1 selects MRRR, the full dimension divide and conquer;
+    # their projections differ in the last bits, which must move no count
+    mismatches = []
+    for seed in SOLVER_SEEDS:
+        if app == "bqp":
+            inst = gen_bqp(12, 16, 0.05, 1.0, seed)
+            estimate = bqp_estimate(inst.a, inst.b, inst.n)
+        else:
+            inst = gen_sr(16, 3, 2.0, 0.8, seed)
+            estimate = sr_estimate(inst.n, inst.k, inst.sigma, "joint")
+        pair = build_prox_pair(inst)
+        runs = []
+        for rank in (1, pair.dim):
+            solver = dataclasses.replace(pair, g_prox=partial(prox_psd_indicator,
+                                                              expected_rank=rank))
+            ref = reference_solve(solver, estimate)
+            assert ref.converged, (app, seed, rank)
+            if app == "bqp":
+                sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
+                params = bqp_protocol_params(inst.a, inst.b, inst.n, sol)
+            else:
+                params = sr_protocol_params(inst.n, inst.k, inst.sigma)
+            # the protocol's stop: the first MSE <= 1e-6, no optimality shortcut
+            stop = StopRule(max_iters=100_000, opt_eps=None, mse_eps=1e-6, reference=ref.x_ref)
+            traces = {name: run_drs(solver, param, solver.zeros(), stop)[1]
+                      for name, param in params.items()}
+            assert all(trace.converged for trace in traces.values()), (app, seed, rank)
+            runs.append((ref.iterations, traces))
+        (ref_mrrr, mrrr), (ref_dc, dc) = runs
+        if ref_mrrr != ref_dc:
+            mismatches.append((seed, "reference", ref_mrrr, ref_dc))
+        for name in mrrr:
+            if mrrr[name].iterations != dc[name].iterations:
+                # the last two MSE values in units of the threshold show the margin
+                mismatches.append((seed, name, mrrr[name].iterations, dc[name].iterations,
+                                   [m / 1e-6 for m in mrrr[name].mse[-2:]],
+                                   [m / 1e-6 for m in dc[name].mse[-2:]]))
+    assert mismatches == []
