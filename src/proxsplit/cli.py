@@ -206,7 +206,7 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
     if mode == "identity":
         return Identity()
     if mode == "manual":
-        return SdpHadamard(cfg.alpha, cfg.beta, shape)
+        return _hadamard(cfg.alpha, cfg.beta, shape)
     if mode == "estimate":
         return estimate_param(inst)
     if mode == "sdp-separate-alpha":
@@ -214,6 +214,14 @@ def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorP
     if mode == "sdp-separate-beta":
         return SdpHadamard(1.0, sdp_separate_choices(ref_pair)[1], shape)
     return SdpHadamard(*sdp_joint_search(ref_pair), shape)  # sdp-joint-opt
+
+
+def _hadamard(alpha: float, beta: float, shape) -> SdpHadamard:
+    """``SdpHadamard(alpha, beta, shape)``, whose refusal is a configuration error."""
+    try:
+        return SdpHadamard(alpha, beta, shape)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def solve(pair, param, stop: StopRule, workers=None):
@@ -311,7 +319,9 @@ def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
     stop = StopRule(max_iters=cfg.max_iters, opt_eps=cfg.opt_eps,
                     mse_eps=cfg.mse_eps, reference=ref.x_ref)
 
-    jobs = min(cfg.jobs, len(params))
+    # fork starts every worker at once, so no more than the CPUs this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(cfg.jobs, len(params), cpus or 1)
     if jobs == 1:  # in the calling thread, so that Ctrl-C stops a long row at once
         return [solve(pair, param, stop)[1] for param in params]
     import multiprocessing
@@ -397,7 +407,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     betas = _parse_grid(cfg.beta_grid) if cfg.beta_grid else np.array([1.0])
     inst, pair, ref, _ = _prepare(cfg)
     cells = [(float(a), float(b)) for a in alphas for b in betas]
-    traces = _solve_rows(cfg, pair, ref, [SdpHadamard(a, b, inst.shape) for a, b in cells])
+    traces = _solve_rows(cfg, pair, ref, [_hadamard(a, b, inst.shape) for a, b in cells])
     path = _outdir(cfg, ref) / "sweep.csv"
     _write_csv(path, SWEEP_SCHEMA, ("alpha", "beta", "iterations", "final_mse"),
                [(a, b, trace.iterations, trace.mse[-1]) for (a, b), trace in zip(cells, traces)])

@@ -101,29 +101,27 @@ def _capsule_function(name: str, n_chars: int, n_args: int):
 
 _DSYTD2 = _capsule_function("dsytd2", 1, 8)
 _ZHETD2 = _capsule_function("zhetd2", 1, 8)
+_DLARRC = _capsule_function("dlarrc", 1, 11)
 _DSTEMR = _capsule_function("dstemr", 2, 21)
 _DSTEDC = _capsule_function("dstedc", 1, 11)
 _DORMTR = _capsule_function("dormtr", 3, 13)
 _ZUNMTR = _capsule_function("zunmtr", 3, 13)
 
-#: A plan's buffer starts with eight C int slots at these byte offsets, the
+#: A plan's buffer starts with eleven C int slots at these byte offsets, the
 #: last one LAPACK's ``info``, then the doubles ``vl`` and ``vu``.
-_N, _LD, _M, _TRYRAC, _LWORK, _LIWORK, _COLS, _INFO = range(0, 32, 4)
-_VL, _VU = 32, 40
-_HEAD_BYTES = 48
+_N, _LD, _M, _TRYRAC, _LWORK, _LIWORK, _COLS, _COUNT, _LCNT, _RCNT, _INFO = range(0, 44, 4)
+_VL, _VU = 48, 56
+_HEAD_BYTES = 64
 
 
 class _Plan:
-    """One thread's eigensolver for one ``(n, dtype)``, its LAPACK arguments in one buffer.
+    """One thread's eigensolver for ``n x n`` input, its LAPACK arguments in one buffer.
 
-    ``dsytd2``/``zhetd2`` reduce the input to a real tridiagonal matrix, whose
-    positive eigenpairs come from one of two solvers:
-
-    - ``dstemr`` (MRRR) on ``(0, +inf)``, for the positive eigenvalues alone,
-      at a cost that grows with their number;
-    - ``dstedc`` (divide and conquer), for every eigenpair, at a cost that
-      does not.
-
+    ``dsytd2``/``zhetd2`` reduce the input to a real tridiagonal matrix.
+    ``dlarrc`` counts its positive eigenvalues by Sturm sequence, and from that
+    count ``_mrrr`` picks ``dstemr`` (MRRR) on ``(0, +inf]``, for them alone at
+    a cost that grows with their number, or ``dstedc`` (divide and conquer),
+    for every eigenpair at a cost that does not.
     ``dormtr``/``zunmtr`` then transform back only the positive eigenvectors;
     complex input needs them copied into the complex array ``"c"`` first.
     Every workspace has the size LAPACK documents as its minimum, so the
@@ -136,13 +134,13 @@ class _Plan:
     taken once. What ``eigenpairs`` returns is valid until the plan's next call.
     """
 
-    def __init__(self, n: int, dtype: np.dtype):
+    def __init__(self, n: int, complex_field: bool):
         self.n = n
-        item, complex_field = dtype.itemsize, dtype.kind == "c"
+        dtype = np.dtype(complex if complex_field else float)
         # dstemr needs 18 n and 10 n, dstedc 1 + 4 n + n^2 and 3 + 5 n
         lwork, liwork = max(1, 18 * n, 1 + 4 * n + n * n), max(1, 10 * n)
-        sizes = {"a": n * n * item, "d": n * 8, "e": n * 8, "tau": n * item, "w": n * 8,
-                 "z": n * n * 8, "c": n * n * item if complex_field else 0,
+        sizes = {"a": n * n * dtype.itemsize, "d": n * 8, "e": n * 8, "tau": n * dtype.itemsize,
+                 "w": n * 8, "z": n * n * 8, "c": n * n * dtype.itemsize if complex_field else 0,
                  "isuppz": 2 * n * 4, "work": lwork * 8, "iwork": liwork * 4}
         self.offsets, pos = {}, _HEAD_BYTES
         for key, size in sizes.items():
@@ -150,12 +148,12 @@ class _Plan:
             pos += -(-max(size, 1) // 16) * 16
         self.buf = np.zeros(pos, dtype=np.uint8)
         # the back-transformation's workspace, max(1, n), is the leading dimension
-        self.buf[:_VL].view(np.intc)[:] = (n, max(n, 1), 0, 1, lwork, liwork, n, 0)
+        self.buf[:_COUNT].view(np.intc)[:] = (n, max(n, 1), 0, 1, lwork, liwork, n)
         self.buf[_VL:_HEAD_BYTES].view(np.float64)[:] = (0.0, np.inf)
         # a third of the time ``buf.ctypes.data`` takes
         self.base = ctypes.addressof(ctypes.c_char.from_buffer(self.buf))
-        self.info, self.m, self.tryrac, self.cols = (
-            ctypes.c_int.from_buffer(self.buf, slot) for slot in (_INFO, _M, _TRYRAC, _COLS))
+        self.info, self.m, self.tryrac, self.cols, self.count = (ctypes.c_int.from_buffer(
+            self.buf, slot) for slot in (_INFO, _M, _TRYRAC, _COLS, _COUNT))
         self.a = self.view("a", dtype, n * n).reshape(n, n)
         self.d, self.w = self.view("d", np.float64, n), self.view("w", np.float64, n)
         self.z = self.view("z", np.float64, n * n).reshape(n, n)
@@ -164,6 +162,9 @@ class _Plan:
         o = self.offsets
         self.trd = _ZHETD2 if complex_field else _DSYTD2
         self.trd_args = self.args((b"L",), (_N, o["a"], _LD, o["d"], o["e"], o["tau"], _INFO))
+        # the Sturm count on T does not read its pivmin argument, given vl's address
+        self.count_args = self.args((b"T",), (_N, _VL, _VU, o["d"], o["e"], _VL, _COUNT, _LCNT,
+                                              _RCNT, _INFO))
         # il and iu are not read on a value range; nzc = n columns hold any count
         self.stemr_args = self.args((b"V", b"V"), (
             _N, o["d"], o["e"], _VL, _VU, _N, _N, _M, o["w"], o["z"], _LD, _N, o["isuppz"],
@@ -189,13 +190,12 @@ class _Plan:
         if self.info.value != 0:
             raise np.linalg.LinAlgError(f"eigensolver failed (info={self.info.value})")
 
-    def eigenpairs(self, mrrr: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer.
-
-        ``mrrr`` picks ``dstemr`` over ``dstedc``.
-        """
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer."""
         self.run(self.trd, self.trd_args)
-        if mrrr:
+        # the count picks the solver only: dlarrc's exact-zero pivots may put it off
+        self.run(_DLARRC, self.count_args)
+        if _mrrr(self.n, self.count.value):
             # in and out: dstemr clears it for a matrix that does not define its
             # eigenvalues to high relative accuracy, which must not carry over
             self.tryrac.value = 1
@@ -218,19 +218,17 @@ class _Plan:
         return w, rows
 
 
-#: ``dstedc`` replaces ``dstemr`` when ``_STEDC_CROSSOVER * (expected_rank - 1) > n``,
-#: ``expected_rank`` being the caller's prediction of the number of positive
-#: eigenvalues. Timed on random real and complex inputs of dimension 21 to 101
-#: with one BLAS thread, ``dstemr`` wins at one positive eigenvalue for every
-#: dimension, and the two break even between 7 and 21 positive eigenvalues.
-_STEDC_CROSSOVER = 8
+def _mrrr(n: int, positive: int) -> bool:
+    """Whether ``dstemr``, not ``dstedc``, solves ``n x n`` with ``positive`` positive eigenvalues.
 
-
-_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+    Timed on random real and complex inputs of dimension 21 to 101 with one BLAS thread,
+    ``dstemr`` won at one positive eigenvalue, and the two broke even between 7 and 21.
+    """
+    return 8 * (positive - 1) <= n
 
 
 class _ThreadPlans(threading.local):
-    """The calling thread's plans by ``(n, dtype)``."""
+    """The calling thread's plans by ``(n, complex_field)``."""
 
     def __init__(self):
         self.by_key = {}
@@ -239,55 +237,41 @@ class _ThreadPlans(threading.local):
 _plans = _ThreadPlans()
 
 
-def _plan(n: int, dtype: np.dtype) -> _Plan:
-    """The calling thread's plan, made on the thread's first call.
-
-    No buffer is shared between threads, so concurrent calls stay independent.
-    """
-    plan = _plans.by_key.get((n, dtype))
+def _plan(n: int, complex_field: bool) -> _Plan:
+    """The calling thread's plan, made on its first call: threads share no buffer."""
+    plan = _plans.by_key.get((n, complex_field))
     if plan is None:
-        plan = _plans.by_key[(n, dtype)] = _Plan(n, dtype)
+        plan = _plans.by_key[(n, complex_field)] = _Plan(n, complex_field)
     return plan
 
 
-def _solver(n: int, complex_field: bool, expected_rank: int) -> tuple[_Plan, bool]:
-    """The plan for an ``n x n`` input and whether ``expected_rank`` selects ``dstemr``."""
-    return (_plan(n, _COMPLEX if complex_field else _REAL),
-            _STEDC_CROSSOVER * (expected_rank - 1) <= n)
-
-
-def positive_eigenpairs(h: np.ndarray, expected_rank: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def positive_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of finite Hermitian ``h`` with strictly positive eigenvalue.
 
     Returns ``(w, v)``, ``w`` ascending, ``v`` with one eigenvector per
     column, like ``np.linalg.eigh`` restricted to ``w > 0``. The tridiagonal
     reduction is paid in full, but only the positive eigenvectors are
-    transformed back. ``expected_rank``, the number of positive eigenvalues
-    the caller predicts, picks how the tridiagonal matrix is solved: MRRR
-    for the positive eigenvalues alone when few are expected, divide and
-    conquer for all of them otherwise. ``h`` must be exactly Hermitian,
-    since LAPACK reads one triangle only.
+    transformed back. ``h`` must be exactly Hermitian, since LAPACK reads
+    one triangle only.
     """
-    plan, mrrr = _solver(h.shape[0], np.iscomplexobj(h), expected_rank)
+    plan = _plan(h.shape[0], np.iscomplexobj(h))
     plan.a[...] = h
-    w, rows = plan.eigenpairs(mrrr)
+    w, rows = plan.eigenpairs()
     # LAPACK worked on conj(h) and returns its eigenvectors as the rows of a
     # C-ordered array; both results are copied out of the plan's buffer.
     return w.copy(), np.conjugate(rows).T
 
 
-def project_psd(m, expected_rank: int = 1) -> np.ndarray:
+def project_psd(m) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (negative eigenvalues clipped).
 
-    Built from the positive eigenpairs alone. ``expected_rank`` is the
-    number of positive eigenvalues the caller's model predicts; it selects
-    the eigensolver, not the result. The result is float64, or complex128
-    for complex input, whatever the rank.
+    Built from the positive eigenpairs alone. The result is float64, or
+    complex128 for complex input, whatever the rank.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("project_psd expects a square matrix")
-    plan, mrrr = _solver(m.shape[0], np.iscomplexobj(m), expected_rank)
+    plan = _plan(m.shape[0], np.iscomplexobj(m))
     # the Hermitian part goes straight into the eigensolver's input slot
     h = plan.a
     np.add(m, m.conj().T, out=h)
@@ -297,7 +281,7 @@ def project_psd(m, expected_rank: int = 1) -> np.ndarray:
     # fraction of the cost; the entrywise test settles an overflowing sum.
     if not np.isfinite(h.sum()) and not np.isfinite(h).all():
         raise ValueError("project_psd: non-finite entries (or overflow while symmetrizing)")
-    w, rows = plan.eigenpairs(mrrr)
+    w, rows = plan.eigenpairs()
     if w.size == m.shape[0]:
         return hermitian_part(m).astype(h.dtype, copy=False)  # LAPACK has overwritten h
     if w.size == 0:

@@ -9,6 +9,7 @@ fixed-entry constraints, which is what makes the linear-term proxes exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,11 @@ class OperatorParam:
         raise NotImplementedError
 
 
+def _invertible(weight: float) -> bool:
+    """Whether a weight and its reciprocal are both nonzero and finite."""
+    return weight != 0.0 and math.isfinite(weight) and math.isfinite(1.0 / weight)
+
+
 class Identity(OperatorParam):
     is_entrywise = True
     is_definiteness_invariant = True
@@ -81,9 +87,9 @@ class Scalar(OperatorParam):
     is_entrywise = True
 
     def __init__(self, alpha: float):
-        if alpha == 0.0 or not np.isfinite(alpha):
-            raise ValueError("scalar parameter must be nonzero and finite")
         self.alpha = float(alpha)
+        if not _invertible(self.alpha):
+            raise ValueError("scalar parameter and its reciprocal must be nonzero and finite")
         self.is_definiteness_invariant = self.alpha > 0.0
 
     def apply(self, v):
@@ -120,12 +126,14 @@ class SdpHadamard(OperatorParam):
     is_definiteness_invariant = True
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
-            raise ValueError("alpha and beta must be positive and finite")
+        alpha, beta = float(self.alpha), float(self.beta)
+        weights = (alpha / beta if beta else 0.0, alpha, alpha * beta)
+        if not (alpha > 0.0 and beta > 0.0 and all(map(_invertible, weights))):
+            raise ValueError(f"alpha={alpha:g}, beta={beta:g}: alpha and beta must be positive and "
+                             "the weights alpha/beta, alpha, alpha*beta and their inverses finite")
         n, size = self.shape.n, self.shape.size
-        w = np.full((size, size), float(self.alpha))
-        w[:n, :n] = self.alpha / self.beta
-        w[n:, n:] = self.alpha * self.beta
+        w = np.full((size, size), alpha)
+        w[:n, :n], w[n:, n:] = weights[0], weights[2]
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_w_inv", (1.0 / w).astype(complex))
 

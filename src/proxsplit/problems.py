@@ -210,9 +210,8 @@ def build_prox_pair(inst) -> ProxPair:
                         g_prox=prox_psd_indicator, g_f=g_f,
                         constraint="diag-ones", dim=inst.n + 1, is_complex=False)
     observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
-    # the lifted solution [[T(u), x], [x^H, t]] has rank k, one per spike
     return ProxPair(f_prox=partial(_linear_sr, _GramTerms(g_f, np.complex128), observed),
-                    g_prox=partial(prox_psd_indicator, expected_rank=inst.k), g_f=g_f,
+                    g_prox=prox_psd_indicator, g_f=g_f,
                     constraint="fixed-toeplitz", dim=inst.n + 1, is_complex=True)
 
 

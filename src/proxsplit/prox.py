@@ -63,17 +63,15 @@ class ProxPair:
         return np.zeros((self.dim, self.dim), dtype=dtype)
 
 
-def prox_psd_indicator(param: OperatorParam, v: np.ndarray, expected_rank: int = 1) -> np.ndarray:
+def prox_psd_indicator(param: OperatorParam, v: np.ndarray) -> np.ndarray:
     """Prox of the PSD-cone indicator: cone projection pulled back through the parameter.
 
     Requires a definiteness-invariant parameter; then
     ``param.apply(result) == project_psd(v)`` and the result is PSD.
-    ``expected_rank`` is passed on to ``project_psd``, where it selects the
-    eigensolver.
     """
     if not param.is_definiteness_invariant:
         raise ValueError("PSD-indicator prox needs a definiteness-invariant parameter")
-    return param.inverse(project_psd(v, expected_rank=expected_rank))
+    return param.inverse(project_psd(v))
 
 
 def prox_nsd_indicator(param: OperatorParam, v: np.ndarray) -> np.ndarray:

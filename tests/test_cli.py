@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -154,12 +155,18 @@ def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, command):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
-@pytest.mark.parametrize("command, jobs, main_thread", [
-    ("run", "1", True), ("run", "2", True), ("protocol", "2", False)])
+@pytest.mark.parametrize("command, jobs, cpus, main_thread", [
+    pytest.param("run", "1", 2, True, id="run-1-True"),
+    pytest.param("run", "2", 2, True, id="run-2-True"),
+    pytest.param("protocol", "2", 2, False, id="protocol-2-False"),
+    pytest.param("protocol", "8", 1, True, id="protocol-8-one-cpu-True")])
 def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, command, jobs,
-                                                   main_thread):
+                                                   cpus, main_thread):
     # a solve in a worker thread holds Ctrl-C off until it returns, so a
-    # single row never goes to the pool, whatever --jobs says
+    # single row never goes to the pool, whatever --jobs says; nor do the
+    # rows when the process may use one CPU, as fork starts every worker at once
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     seen = []
     solve = cli.solve
 
@@ -738,6 +745,24 @@ def test_out_of_range_settings_exit_one(tmp_path, capsys, name, value):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} must ") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", ["--param-mode", "manual", "--alpha", "1e-200", "--beta", "1e-200"]),
+    ("run", ["--param-mode", "manual", "--alpha", "1e200", "--beta", "1e200"]),
+    ("sweep", ["--alpha-grid", "1,1e-200", "--beta-grid", "1e-200"]),
+    ("sweep", ["--alpha-grid", "1e200", "--beta-grid", "1,1e200"])],
+    ids=["manual-underflow", "manual-overflow", "sweep-underflow", "sweep-overflow"])
+def test_weights_that_underflow_or_overflow_exit_one(tmp_path, capsys, command, extra):
+    # alpha * beta is 0 or inf in double precision, which the solve cannot undo
+    out = tmp_path / command
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *BQP_SMALL, *extra, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "alpha*beta" in captured.err
+    assert captured.err.startswith("error: alpha=1e") and captured.out == ""
     assert not out.exists()
 
 

@@ -19,15 +19,19 @@ from proxsplit.tuning import GridSpec, SolutionPair, sdp_joint_search
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: ``project_psd`` through each LAPACK plan (real/complex, partial/full), as hex digests.
+#: ``project_psd`` through each LAPACK plan (real/complex) and tridiagonal solver
+#: (MRRR/divide and conquer, forced), as hex digests.
 PSD_DIGESTS = """
 import hashlib
 import numpy as np
+from proxsplit import linalg
 from proxsplit.linalg import project_psd, random_hermitian
 rng = np.random.default_rng(7)
 digest = hashlib.sha256()
-for n, complex_field, rank in ((41, False, 1), (41, False, 20), (51, True, 1), (51, True, 20)):
-    digest.update(project_psd(random_hermitian(n, rng, complex_field=complex_field), rank).tobytes())
+for n, complex_field, mrrr in ((41, False, True), (41, False, False), (51, True, True),
+                               (51, True, False)):
+    linalg._mrrr = lambda n, positive: mrrr
+    digest.update(project_psd(random_hermitian(n, rng, complex_field=complex_field)).tobytes())
 print(digest.hexdigest())
 """
 
@@ -88,7 +92,7 @@ def test_later_scipy_imports_bind_the_same_lapack():
         import scipy.linalg.cython_lapack
         import scipy.linalg, scipy.optimize
         capi = scipy.linalg.cython_lapack.__pyx_capi__
-        for name in ("dsytd2", "zhetd2", "dstemr", "dstedc", "dormtr", "zunmtr"):
+        for name in ("dsytd2", "zhetd2", "dlarrc", "dstemr", "dstedc", "dormtr", "zunmtr"):
             ours = ctypes.cast(getattr(linalg, "_" + name.upper()), ctypes.c_void_p).value
             assert ours == linalg._capsule_pointer(capi[name], linalg._capsule_name(capi[name]))
         w = scipy.linalg.eigh(np.diag([3.0, 1.0, 2.0]), eigvals_only=True)
@@ -112,12 +116,12 @@ def test_every_way_to_reach_lapack_gives_the_same_projection():
 
 
 def test_joint_search_bits(bqp_setup):
-    # recorded with numpy 2.4.6 / scipy 1.17.1 on the unblocked reduction and MRRR;
+    # recorded with numpy 2.4.6 / scipy 1.17.1, the tridiagonal solver picked by the count;
     # the exact coordinate steps land within 1e-7 of the bits that
     # scipy.optimize's bounded search gave
     inst, _, ref = bqp_setup
     sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
     alpha, beta = sdp_joint_search(sol, GridSpec())
-    assert (alpha.hex(), beta.hex()) == ("0x1.82f106e62786ap-1", "0x1.aaa9391a90613p+1")
+    assert (alpha.hex(), beta.hex()) == ("0x1.82f106e62786fp-1", "0x1.aaa9391a90613p+1")
     assert alpha == pytest.approx(float.fromhex("0x1.82f106d18bd7ap-1"), rel=1e-7)
     assert beta == pytest.approx(float.fromhex("0x1.aaa9390b541c1p+1"), rel=1e-7)

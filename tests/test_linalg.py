@@ -136,35 +136,74 @@ def spectrum_case(kind, n, complex_field, seed):
     return hermitian_part((q * (scale * w)) @ q.conj().T)
 
 
+def force_mrrr(monkeypatch, mrrr):
+    """Every later projection on MRRR (``True``) or divide and conquer, whatever the count."""
+    monkeypatch.setattr(linalg, "_mrrr", lambda n, positive: mrrr)
+
+
+def record_solvers(monkeypatch) -> list:
+    """A list that gets the solver choice of every later projection, ``True`` for MRRR."""
+    choices, choose = [], linalg._mrrr
+
+    def spy(n, positive):
+        mrrr = choose(n, positive)
+        choices.append(mrrr)
+        return mrrr
+
+    monkeypatch.setattr(linalg, "_mrrr", spy)
+    return choices
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 @pytest.mark.parametrize("kind", ["negative", "positive", "mixed", "zero",
                                   "psd-exact-zeros", "mixed-exact-zeros",
                                   "low-rank", "clustered-positive"])
-def test_project_psd_matches_full_eigh_projection(kind, complex_field):
-    # expected rank 1 selects the partial solve, n divide and conquer (n >= 2)
+def test_project_psd_matches_full_eigh_projection(kind, complex_field, monkeypatch):
+    # every input on both tridiagonal solvers, whichever its count picks
     for n in range(1, 61):
         h = spectrum_case(kind, n, complex_field, seed=1000 * n + 7)
         tol = 1e-12 * np.linalg.norm(h)
-        for expected_rank in (1, n):
-            p = project_psd(h, expected_rank=expected_rank)
+        for mrrr in (True, False):
+            force_mrrr(monkeypatch, mrrr)
+            p = project_psd(h)
             assert p.shape == h.shape and p.dtype == h.dtype
-            assert np.linalg.norm(p - psd_oracle(h)) <= tol, (kind, n, expected_rank)
+            assert np.linalg.norm(p - psd_oracle(h)) <= tol, (kind, n, mrrr)
             np.testing.assert_array_equal(p, p.conj().T)
-            assert np.linalg.eigvalsh(p)[0] >= -tol, (kind, n, expected_rank)
+            assert np.linalg.eigvalsh(p)[0] >= -tol, (kind, n, mrrr)
+
+
+def with_positive_count(n, positive, complex_field, seed):
+    """Random Hermitian input with ``positive`` eigenvalues in (0.1, 1), the rest in (-1, -0.1)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if complex_field:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    w = rng.uniform(0.1, 1.0, n)
+    w[positive:] *= -1.0
+    return hermitian_part((q * w) @ q.conj().T)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_expected_rank_selects_the_eigensolver(complex_field):
-    dtype = np.dtype(complex if complex_field else float)
-    for n in (2, 9, 41, 51):
-        h = spectrum_case("mixed", n, complex_field, seed=n)
-        for expected_rank, mrrr in ((1, True), (n, False)):
-            w, v = linalg.positive_eigenpairs(h, expected_rank)
-            plan = linalg._plan(n, dtype)
-            plan.a[...] = h
-            w_plan, rows = plan.eigenpairs(mrrr)
-            np.testing.assert_array_equal(w, w_plan)
-            np.testing.assert_array_equal(v, rows.conj().T)
+def test_the_positive_count_selects_the_eigensolver(complex_field, monkeypatch):
+    # (n, positive eigenvalues, whether the count selects MRRR)
+    cases = [(17, 9, False)] if complex_field else [(41, 30, False), (41, 2, True)]
+    choose = linalg._mrrr
+    for n, positive, mrrr in cases:
+        h = with_positive_count(n, positive, complex_field, seed=n + positive)
+        counts = []
+        monkeypatch.setattr(linalg, "_mrrr",
+                            lambda n, positive: counts.append(positive) or choose(n, positive))
+        selected = (project_psd(h), *linalg.positive_eigenpairs(h))
+        assert counts == [positive, positive] and choose(n, positive) == mrrr
+        forced = {}
+        for solver in (True, False):
+            force_mrrr(monkeypatch, solver)
+            forced[solver] = (project_psd(h), *linalg.positive_eigenpairs(h))
+        # the two solvers differ in the last bits, so the bits tell which one ran
+        assert not np.array_equal(forced[True][0], forced[False][0])
+        for got, want in zip(selected, forced[mrrr]):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_project_psd_symmetrizes_nonhermitian_input():
@@ -195,33 +234,36 @@ def test_project_psd_rejects_entries_that_overflow_when_symmetrized(m):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_project_psd_accepts_finite_input_whose_entry_sum_overflows(dtype):
+def test_project_psd_accepts_finite_input_whose_entry_sum_overflows(dtype, monkeypatch):
     # 25 entries of 1e307 sum to inf, yet every entry and the projection are finite
     m = np.full((5, 5), 1e307, dtype=dtype)
-    for expected_rank in (1, 5):
+    for mrrr in (True, False):
+        force_mrrr(monkeypatch, mrrr)
         with np.errstate(over="ignore"):
-            p = project_psd(m, expected_rank=expected_rank)
+            p = project_psd(m)
         # m is PSD (rank one), so it is its own projection
         np.testing.assert_allclose(p / 1e307, np.ones((5, 5)), rtol=0, atol=1e-12)
 
 
 def test_lapack_routines_are_gil_releasing_ctypes_functions():
     # CFUNCTYPE calls drop the GIL; PYFUNCTYPE (or an f2py wrapper) would hold it
-    for fn in (linalg._DSYTD2, linalg._ZHETD2, linalg._DSTEMR, linalg._DSTEDC,
+    for fn in (linalg._DSYTD2, linalg._ZHETD2, linalg._DLARRC, linalg._DSTEMR, linalg._DSTEDC,
                linalg._DORMTR, linalg._ZUNMTR):
         assert isinstance(fn, ctypes._CFuncPtr)
         assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
-def test_concurrent_projections_match_serial_results():
-    # every thread gets its own LAPACK plans, which library callers on threads rely on
+def test_concurrent_projections_match_serial_results(monkeypatch):
+    # every thread gets its own LAPACK plans, which library callers on threads rely on;
+    # the low-rank inputs are solved by MRRR, the mixed ones by divide and conquer
     rng = np.random.default_rng(5)
-    cases = [(spectrum_case(kind, n, complex_field, seed=int(rng.integers(1 << 30))), rank)
+    cases = [spectrum_case(kind, n, complex_field, seed=int(rng.integers(1 << 30)))
              for kind in ("low-rank", "mixed")
              for n in (9, 41, 51)
-             for complex_field in (False, True)
-             for rank in (1, n)]
-    serial = [project_psd(h, expected_rank=rank) for h, rank in cases]
+             for complex_field in (False, True)]
+    choices = record_solvers(monkeypatch)
+    serial = [project_psd(h) for h in cases]
+    assert choices == [True] * 6 + [False] * 6
     mismatches, errors = [], []
 
     def worker(offset):
@@ -229,8 +271,7 @@ def test_concurrent_projections_match_serial_results():
             for rep in range(20):
                 for i in range(len(cases)):
                     j = (i + offset + rep) % len(cases)
-                    h, rank = cases[j]
-                    if not np.array_equal(project_psd(h, expected_rank=rank), serial[j]):
+                    if not np.array_equal(project_psd(cases[j]), serial[j]):
                         mismatches.append(j)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -251,21 +292,20 @@ def test_concurrent_projections_match_serial_results():
 
 def test_plans_belong_to_one_thread():
     # a thread reuses its plan; another thread gets its own, with its own buffer
-    dtype = np.dtype(float)
-    mine = linalg._plan(7, dtype)
-    assert linalg._plan(7, dtype) is mine
+    mine = linalg._plan(7, False)
+    assert linalg._plan(7, False) is mine
     theirs = []
 
     def worker():
-        theirs.append(linalg._plan(7, dtype))
-        theirs.append(linalg._plan(7, dtype))
+        theirs.append(linalg._plan(7, False))
+        theirs.append(linalg._plan(7, False))
 
     t = threading.Thread(target=worker)
     t.start()
     t.join(timeout=60)
     assert len(theirs) == 2 and theirs[0] is theirs[1]
     assert theirs[0] is not mine and not np.shares_memory(theirs[0].buf, mine.buf)
-    assert linalg._plan(7, dtype) is mine
+    assert linalg._plan(7, False) is mine
 
 
 def definite_blocks(n, complex_field, seed):
@@ -289,23 +329,24 @@ def definite_blocks(n, complex_field, seed):
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_a_plan_does_not_remember_its_previous_input(complex_field):
+def test_a_plan_does_not_remember_its_previous_input(complex_field, monkeypatch):
     # dstemr clears its in/out TRYRAC flag on input like the indefinite matrix
     # below, and the definite blocks give other bits without the flag; each
-    # sequence starts on a new thread, so on new plans
+    # sequence runs on both solvers and starts on a new thread, so on new plans
     n = 51 if complex_field else 41
     indefinite = spectrum_case("mixed", n, complex_field, seed=3)
     results = []
 
-    def sequence(h, rank):
-        first = project_psd(h, expected_rank=rank)
-        project_psd(indefinite, expected_rank=rank)
-        results.append((first, project_psd(h, expected_rank=rank)))
+    def sequence(h):
+        first = project_psd(h)
+        project_psd(indefinite)
+        results.append((first, project_psd(h)))
 
     for seed in range(3):
         h = definite_blocks(n, complex_field, seed)
-        for rank in (1, n):
-            t = threading.Thread(target=sequence, args=(h, rank))
+        for mrrr in (True, False):
+            force_mrrr(monkeypatch, mrrr)
+            t = threading.Thread(target=sequence, args=(h,))
             t.start()
             t.join(timeout=60)
     assert len(results) == 6
@@ -317,15 +358,16 @@ def test_a_plan_does_not_remember_its_previous_input(complex_field):
                                            (np.float64, np.float64),
                                            (np.complex64, np.complex128),
                                            (np.complex128, np.complex128)])
-def test_project_psd_returns_the_solver_dtype_at_every_rank(dtype, result):
+def test_project_psd_returns_the_solver_dtype_at_every_rank(dtype, result, monkeypatch):
     # full rank, zero rank and a partial rank take three different return paths
     rng = np.random.default_rng(17)
     q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     double = np.dtype(dtype) == result
     for w in ([1, 2, 3, 4, 5, 6], [-1, -2, -3, -4, -5, -6], [3, 2, -1, -4, -5, -6]):
         m = ((q * w) @ q.T).astype(dtype)
-        for expected_rank in (1, 6):
-            p = project_psd(m, expected_rank=expected_rank)
+        for mrrr in (True, False):
+            force_mrrr(monkeypatch, mrrr)
+            p = project_psd(m)
             assert p.dtype == result
             if double and max(w) < 0:
                 np.testing.assert_array_equal(p, np.zeros_like(m))

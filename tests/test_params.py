@@ -111,10 +111,18 @@ def test_hadamard_shape_checked():
     p = SdpHadamard(1.0, 2.0, BlockShape(3, 1))
     with pytest.raises(ValueError):
         p.apply(np.zeros((3, 3)))
+    # the last five: alpha/beta, alpha or alpha*beta, or a reciprocal, is 0 or inf
     for alpha, beta in ((0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.nan),
-                        (np.inf, 1.0), (1.0, np.inf)):
+                        (np.inf, 1.0), (1.0, np.inf), (1e-200, 1e-200), (1e200, 1e200),
+                        (1e200, 1e-200), (1e-200, 1e200), (1e-310, 1.0)):
         with pytest.raises(ValueError):
             SdpHadamard(alpha, beta, BlockShape(3, 1))
+
+
+def test_hadamard_accepts_extreme_weights_it_can_hold():
+    p = SdpHadamard(1e-150, 1e-150, BlockShape(3, 1))  # smallest weight 1e-300
+    ones = np.ones((4, 4))
+    assert np.isfinite(p.apply(ones)).all() and np.isfinite(p.inverse(ones)).all()
 
 
 def test_definiteness_invariance_check_accepts_hadamard():
@@ -137,8 +145,9 @@ def test_inertia_check_flags_non_congruence_weights():
 def test_scalar_invariance_tracks_sign():
     assert Scalar(2.0).is_definiteness_invariant
     assert not Scalar(-2.0).is_definiteness_invariant
-    with pytest.raises(ValueError):
-        Scalar(0.0)
+    for alpha in (0.0, np.nan, np.inf, -np.inf, 1e-310, -1e-310):  # 1 / 1e-310 overflows
+        with pytest.raises(ValueError):
+            Scalar(alpha)
 
 
 def test_adjoint_inverse_view_swaps_roles():

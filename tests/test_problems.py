@@ -1,6 +1,5 @@
 """Instance generators, serialization and high-precision references."""
 
-import dataclasses
 import json
 import pickle
 from functools import partial
@@ -8,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from proxsplit import linalg
 from proxsplit.linalg import frob_inner, random_hermitian, toeplitz_map
 from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
 from proxsplit.prox import FixedEntrySet, prox_linear_diag1, prox_linear_sr, prox_psd_indicator
@@ -253,6 +253,7 @@ def test_build_prox_pair_wiring():
     assert pair.constraint == "diag-ones"
     assert pair.dim == 7
     assert not pair.is_complex
+    assert pair.g_prox is prox_psd_indicator
     assert np.array_equal(pair.g_f, bqp.g_f)
     v = np.random.default_rng(1).standard_normal((7, 7))
     out = pair.f_prox(Identity(), (v + v.T) / 2)
@@ -263,6 +264,7 @@ def test_build_prox_pair_wiring():
     assert pair.constraint == "fixed-toeplitz"
     assert pair.dim == 13
     assert pair.is_complex
+    assert pair.g_prox is prox_psd_indicator
     w = pair.zeros()
     out = pair.f_prox(Identity(), w)
     assert np.allclose(out[sr.omega, 12], sr.x_star[sr.omega], rtol=0, atol=1e-12)
@@ -349,39 +351,45 @@ def test_bqp_multipliers_recover_diagonal_structure():
     assert np.sum(mu) == pytest.approx(frob_inner(ref.x_ref, inst.g_f), rel=1e-6)
 
 
+def small_protocol(app, seed):
+    """Pair, converged reference and protocol rows of BQP n=12/k=16 or SR n=16/k=3."""
+    if app == "bqp":
+        inst = gen_bqp(12, 16, 0.05, 1.0, seed)
+        estimate = bqp_estimate(inst.a, inst.b, inst.n)
+    else:
+        inst = gen_sr(16, 3, 2.0, 0.8, seed)
+        estimate = sr_estimate(inst.n, inst.k, inst.sigma, "joint")
+    pair = build_prox_pair(inst)
+    ref = reference_solve(pair, estimate)
+    assert ref.converged, (app, seed)
+    if app == "bqp":
+        sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
+        return pair, ref, bqp_protocol_params(inst.a, inst.b, inst.n, sol)
+    return pair, ref, sr_protocol_params(inst.n, inst.k, inst.sigma)
+
+
+def protocol_stop(ref, cap=100_000):
+    """The protocol's stop: the first MSE <= 1e-6, no optimality shortcut."""
+    return StopRule(max_iters=cap, opt_eps=None, mse_eps=1e-6, reference=ref.x_ref)
+
+
 #: Seeds 0 to 9 gave equal counts too, in about 25 s; two keep the test near 5 s.
 SOLVER_SEEDS = (0, 1)
 
 
 @pytest.mark.parametrize("app", ["bqp", "sr"])
-def test_protocol_counts_do_not_depend_on_the_tridiagonal_solver(app):
-    # an expected rank of 1 selects MRRR, the full dimension divide and conquer;
-    # their projections differ in the last bits, which must move no count
+def test_protocol_counts_do_not_depend_on_the_tridiagonal_solver(app, monkeypatch):
+    # every projection on MRRR, then every one on divide and conquer, whatever
+    # the counts pick; the two differ in the last bits, which must move no count
     mismatches = []
     for seed in SOLVER_SEEDS:
-        if app == "bqp":
-            inst = gen_bqp(12, 16, 0.05, 1.0, seed)
-            estimate = bqp_estimate(inst.a, inst.b, inst.n)
-        else:
-            inst = gen_sr(16, 3, 2.0, 0.8, seed)
-            estimate = sr_estimate(inst.n, inst.k, inst.sigma, "joint")
-        pair = build_prox_pair(inst)
         runs = []
-        for rank in (1, pair.dim):
-            solver = dataclasses.replace(pair, g_prox=partial(prox_psd_indicator,
-                                                              expected_rank=rank))
-            ref = reference_solve(solver, estimate)
-            assert ref.converged, (app, seed, rank)
-            if app == "bqp":
-                sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
-                params = bqp_protocol_params(inst.a, inst.b, inst.n, sol)
-            else:
-                params = sr_protocol_params(inst.n, inst.k, inst.sigma)
-            # the protocol's stop: the first MSE <= 1e-6, no optimality shortcut
-            stop = StopRule(max_iters=100_000, opt_eps=None, mse_eps=1e-6, reference=ref.x_ref)
-            traces = {name: run_drs(solver, param, solver.zeros(), stop)[1]
+        for mrrr in (True, False):
+            monkeypatch.setattr(linalg, "_mrrr", lambda n, positive: mrrr)
+            pair, ref, params = small_protocol(app, seed)
+            traces = {name: run_drs(pair, param, pair.zeros(), protocol_stop(ref))[1]
                       for name, param in params.items()}
-            assert all(trace.converged for trace in traces.values()), (app, seed, rank)
+            assert all(trace.converged for trace in traces.values()), (app, seed, mrrr)
             runs.append((ref.iterations, traces))
         (ref_mrrr, mrrr), (ref_dc, dc) = runs
         if ref_mrrr != ref_dc:
@@ -393,3 +401,28 @@ def test_protocol_counts_do_not_depend_on_the_tridiagonal_solver(app):
                                    [m / 1e-6 for m in mrrr[name].mse[-2:]],
                                    [m / 1e-6 for m in dc[name].mse[-2:]]))
     assert mismatches == []
+
+
+#: Each joint choice and the rows it must beat, in fewer iterations, on every one of
+#: ``WIN_SEEDS``; seeds and rows were fixed before the test first ran.
+WINS = {"bqp": {"est-joint": ("identity", "est-alpha", "est-beta"),
+                "opt-joint": ("opt-alpha", "opt-beta")},
+        "sr": {"est-joint": ("identity", "est-alpha", "est-beta")}}
+WIN_SEEDS = range(10)
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+def test_joint_parameters_win_on_every_seed(app):
+    # a loser runs capped at the winner's count and must hit the cap
+    losses = []
+    for seed in WIN_SEEDS:
+        pair, ref, params = small_protocol(app, seed)
+        for winner, losers in WINS[app].items():
+            won = run_drs(pair, params[winner], pair.zeros(), protocol_stop(ref))[1]
+            assert won.converged, (app, seed, winner)
+            for loser in losers:
+                capped = protocol_stop(ref, cap=won.iterations)
+                trace = run_drs(pair, params[loser], pair.zeros(), capped)[1]
+                if trace.converged:
+                    losses.append((seed, winner, won.iterations, loser, trace.iterations))
+    assert losses == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proxsplit import linalg
 from proxsplit.linalg import (frob_norm, hermitian_part, positive_eigenpairs, project_toeplitz,
                               random_hermitian)
 from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
@@ -245,9 +246,9 @@ def test_mse_stopping_uses_reference():
 # The DRS step as first written, kept as the oracle of the lean one: the
 # same operations in the same order, so every iterate must agree bit for bit.
 
-def plain_project_psd(m, expected_rank):
+def plain_project_psd(m):
     h = hermitian_part(m)
-    w, v = positive_eigenpairs(h, expected_rank)
+    w, v = positive_eigenpairs(h)
     if w.size == h.shape[0]:
         return h
     if w.size == 0:
@@ -255,8 +256,8 @@ def plain_project_psd(m, expected_rank):
     return hermitian_part((v * w) @ v.conj().T)
 
 
-def plain_g_prox(expected_rank, param, v):
-    return param.inverse(plain_project_psd(v, expected_rank))
+def plain_g_prox(param, v):
+    return param.inverse(plain_project_psd(v))
 
 
 def plain_diag1_prox(g, param, v):
@@ -301,12 +302,12 @@ def small_app(app):
         inst = gen_bqp(6, 8, 0.05, 1.0, 5)
         g = inst.g_f.copy()
         return (inst, build_prox_pair(inst), g, partial(prox_linear_diag1, g),
-                partial(plain_diag1_prox, g), partial(plain_g_prox, 1))
+                partial(plain_diag1_prox, g), plain_g_prox)
     inst = gen_sr(12, 3, 2.0, 0.8, 5)
     g = inst.g_f.copy()
     observed = FixedEntrySet(inst.omega, inst.x_star[inst.omega])
     return (inst, build_prox_pair(inst), g, partial(prox_linear_sr, g, observed),
-            partial(plain_sr_prox, g, observed), partial(plain_g_prox, inst.k))
+            partial(plain_sr_prox, g, observed), plain_g_prox)
 
 
 ORACLE_ITERS = 60
@@ -316,22 +317,25 @@ ORACLE_ITERS = 60
 @pytest.mark.parametrize("make_param", [lambda shape: Identity(), lambda shape: Scalar(0.7),
                                         lambda shape: SdpHadamard(1.7, 0.4, shape)],
                          ids=["identity", "scalar", "sdp-hadamard"])
-def test_drs_matches_the_plain_step_bit_for_bit(app, make_param):
+def test_drs_matches_the_plain_step_bit_for_bit(app, make_param, monkeypatch):
     inst, pair, _, _, f_plain, g_plain = small_app(app)
     param = make_param(inst.shape)
     rng = np.random.default_rng(3)
     psi0 = random_hermitian(pair.dim, rng, complex_field=pair.is_complex)
     reference = random_hermitian(pair.dim, rng, complex_field=pair.is_complex)
     psi0_before, g_before = psi0.copy(), inst.g_f.copy()
-    want_psis, want_lists = plain_drs(f_plain, g_plain, param, psi0, ORACLE_ITERS, reference)
-    psis = []
-    _, trace = run_drs(pair, param, psi0, StopRule(max_iters=ORACLE_ITERS, opt_eps=None,
-                                                   reference=reference),
-                       lambda k, psi: psis.append(psi.copy()))
-    assert len(psis) == ORACLE_ITERS
-    for k, (got, want) in enumerate(zip(psis, want_psis)):
-        assert np.array_equal(got, want), (app, k)
-    assert tuple(map(list, (trace.fp_residual_sq, trace.opt_residual, trace.mse))) == want_lists
+    for mrrr in (True, False):  # on each tridiagonal solver, whichever the counts pick
+        monkeypatch.setattr(linalg, "_mrrr", lambda n, positive: mrrr)
+        want_psis, want_lists = plain_drs(f_plain, g_plain, param, psi0, ORACLE_ITERS, reference)
+        psis = []
+        _, trace = run_drs(pair, param, psi0, StopRule(max_iters=ORACLE_ITERS, opt_eps=None,
+                                                       reference=reference),
+                           lambda k, psi: psis.append(psi.copy()))
+        assert len(psis) == ORACLE_ITERS
+        for k, (got, want) in enumerate(zip(psis, want_psis)):
+            assert np.array_equal(got, want), (app, mrrr, k)
+        assert tuple(map(list, (trace.fp_residual_sq, trace.opt_residual,
+                                trace.mse))) == want_lists
     np.testing.assert_array_equal(psi0, psi0_before)
     np.testing.assert_array_equal(inst.g_f, g_before)
 
