@@ -200,13 +200,11 @@ def protocol_params(inst, ref_pair: SolutionPair) -> dict[str, OperatorParam]:
 
 
 def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorParam:
-    """The parameter ``cfg.param_mode`` names; ``ExperimentConfig.validate`` has checked it."""
+    """The parameter ``cfg.param_mode`` names, bar ``manual``, which ``cmd_run`` builds itself."""
     shape = inst.shape
     mode = cfg.param_mode
     if mode == "identity":
         return Identity()
-    if mode == "manual":
-        return _hadamard(cfg.alpha, cfg.beta, shape)
     if mode == "estimate":
         return estimate_param(inst)
     if mode == "sdp-separate-alpha":
@@ -292,8 +290,7 @@ def _outdir(cfg: ExperimentConfig, ref) -> Path:
     return outdir
 
 
-def _prepare(cfg: ExperimentConfig):
-    inst = make_instance(cfg)
+def _prepare(cfg: ExperimentConfig, inst):
     pair = build_prox_pair(inst)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the checks
@@ -306,7 +303,7 @@ def _prepare(cfg: ExperimentConfig):
             f"reference did not converge: residual {ref.residual:.3g} > ref_eps "
             f"{cfg.ref_eps:g} after {ref.iterations} iterations (raise --ref-max-iters)")
     ref_pair = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
-    return inst, pair, ref, ref_pair
+    return pair, ref, ref_pair
 
 
 def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
@@ -350,8 +347,11 @@ def _solve_rows(cfg: ExperimentConfig, pair, ref, params) -> list:
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    inst, pair, ref, ref_pair = _prepare(cfg)
-    param = make_param(cfg, inst, ref_pair)
+    inst = make_instance(cfg)
+    # a manual parameter needs no reference, so a refused one costs no reference solve
+    param = _hadamard(cfg.alpha, cfg.beta, inst.shape) if cfg.param_mode == "manual" else None
+    pair, ref, ref_pair = _prepare(cfg, inst)
+    param = param or make_param(cfg, inst, ref_pair)
     trace = _solve_rows(cfg, pair, ref, [param])[0]
     gain = acceleration_gain(param, ref_pair)
     # from a zero start the squared distance to the fixed point is the gain's numerator
@@ -405,9 +405,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         raise ConfigError("sweep needs --alpha-grid and/or --beta-grid")
     alphas = _parse_grid(cfg.alpha_grid) if cfg.alpha_grid else np.array([1.0])
     betas = _parse_grid(cfg.beta_grid) if cfg.beta_grid else np.array([1.0])
-    inst, pair, ref, _ = _prepare(cfg)
+    inst = make_instance(cfg)
     cells = [(float(a), float(b)) for a in alphas for b in betas]
-    traces = _solve_rows(cfg, pair, ref, [_hadamard(a, b, inst.shape) for a, b in cells])
+    params = [_hadamard(a, b, inst.shape) for a, b in cells]  # refused before the reference
+    pair, ref, _ = _prepare(cfg, inst)
+    traces = _solve_rows(cfg, pair, ref, params)
     path = _outdir(cfg, ref) / "sweep.csv"
     _write_csv(path, SWEEP_SCHEMA, ("alpha", "beta", "iterations", "final_mse"),
                [(a, b, trace.iterations, trace.mse[-1]) for (a, b), trace in zip(cells, traces)])
@@ -420,7 +422,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_protocol(cfg: ExperimentConfig) -> int:
-    inst, pair, ref, ref_pair = _prepare(cfg)
+    inst = make_instance(cfg)
+    pair, ref, ref_pair = _prepare(cfg, inst)
     params = protocol_params(inst, ref_pair)
     traces = _solve_rows(cfg, pair, ref, params.values())
     base = traces[0].iterations

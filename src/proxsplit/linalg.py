@@ -11,7 +11,6 @@ import ctypes
 import functools
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 import threading
@@ -32,19 +31,7 @@ def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def frob_norm(a: np.ndarray) -> float:
-    """Frobenius norm, bit for bit ``np.linalg.norm(a)``.
-
-    In double precision it is taken from the same dot products directly,
-    skipping ``np.linalg.norm``'s argument handling.
-    """
-    a = np.asarray(a)
-    if a.dtype == np.complex128:
-        a = a.ravel(order="K")
-        re, im = a.real, a.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    if a.dtype == np.float64:
-        a = a.ravel(order="K")
-        return math.sqrt(a.dot(a))
+    """Frobenius norm."""
     return float(np.linalg.norm(a))
 
 
@@ -227,21 +214,16 @@ def _mrrr(n: int, positive: int) -> bool:
     return 8 * (positive - 1) <= n
 
 
-class _ThreadPlans(threading.local):
-    """The calling thread's plans by ``(n, complex_field)``."""
-
-    def __init__(self):
-        self.by_key = {}
-
-
-_plans = _ThreadPlans()
+#: holds the calling thread's plans by ``(n, complex_field)`` in its ``by_key``
+_plans = threading.local()
 
 
 def _plan(n: int, complex_field: bool) -> _Plan:
     """The calling thread's plan, made on its first call: threads share no buffer."""
-    plan = _plans.by_key.get((n, complex_field))
+    by_key = vars(_plans).setdefault("by_key", {})
+    plan = by_key.get((n, complex_field))
     if plan is None:
-        plan = _plans.by_key[(n, complex_field)] = _Plan(n, complex_field)
+        plan = by_key[(n, complex_field)] = _Plan(n, complex_field)
     return plan
 
 
@@ -284,8 +266,6 @@ def project_psd(m) -> np.ndarray:
     w, rows = plan.eigenpairs()
     if w.size == m.shape[0]:
         return hermitian_part(m).astype(h.dtype, copy=False)  # LAPACK has overwritten h
-    if w.size == 0:
-        return np.zeros_like(h)
     # the eigenvectors are rows.conj().T, so the projection is their product
     # with rows; it is averaged with its conjugate transpose in place
     p = (rows.conj().T * w) @ rows

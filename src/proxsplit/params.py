@@ -160,10 +160,6 @@ class SdpHadamard(OperatorParam):
         return {"kind": "sdp-hadamard", "alpha": self.alpha, "beta": self.beta,
                 "N": self.shape.n, "K": self.shape.k}
 
-    def __repr__(self):
-        return (f"SdpHadamard(alpha={self.alpha!r}, beta={self.beta!r}, "
-                f"shape=BlockShape({self.shape.n}, {self.shape.k}))")
-
 
 class _AdjointInverse(OperatorParam):
     """View of another parameter acting as its adjoint-inverse."""
@@ -192,19 +188,6 @@ def adjoint_inverse_param(param: OperatorParam) -> OperatorParam:
     return _AdjointInverse(param)
 
 
-def param_from_config(cfg: dict) -> OperatorParam:
-    """Rebuild a parameter from its flat config mapping."""
-    kind = cfg.get("kind")
-    if kind == "identity":
-        return Identity()
-    if kind == "scalar":
-        return Scalar(float(cfg["alpha"]))
-    if kind == "sdp-hadamard":
-        return SdpHadamard(float(cfg["alpha"]), float(cfg["beta"]),
-                           BlockShape(int(cfg["N"]), int(cfg["K"])))
-    raise ValueError(f"unknown parameter kind: {kind!r}")
-
-
 @dataclass
 class InertiaReport:
     """Result of an empirical definiteness-invariance check."""
@@ -215,38 +198,27 @@ class InertiaReport:
     counterexample: np.ndarray | None
 
 
-def _inertia(w: np.ndarray, tol: float) -> tuple[int, int, int]:
-    return (int(np.sum(w > tol)), int(np.sum(w < -tol)),
-            int(np.sum(np.abs(w) <= tol)))
+def definiteness_invariant_check(param: SdpHadamard, trials: int = 1000, seed=0,
+                                 complex_field: bool = False) -> InertiaReport:
+    """Empirical inertia-preservation check for a block-Hadamard parameter.
 
-
-def matrix_map_inertia_check(fn, n: int, trials: int = 1000, seed=0,
-                             complex_field: bool = False, tol: float = 1e-9) -> InertiaReport:
-    """Check that a Hermitian-to-Hermitian map preserves eigenvalue sign patterns.
-
-    Draws random Hermitian inputs of mixed definiteness and compares inertia
-    before and after the map, with an eigenvalue cutoff scaled by the input
-    norm. Returns the first counterexample found, if any.
+    Draws random Hermitian inputs of mixed definiteness and compares the
+    counts of positive and negative eigenvalues before and after
+    ``param.apply``, with a cutoff of 1e-9 scaled by the input norm.
+    Returns the first counterexample found, if any.
     """
+    if not isinstance(param, SdpHadamard):
+        raise ValueError("definiteness check targets the block-Hadamard parameter")
     rng = np.random.default_rng(seed)
     failures = 0
     counterexample = None
     for _ in range(trials):
-        x = random_hermitian(n, rng, complex_field=complex_field)
-        cut = tol * max(1.0, frob_norm(x))
-        before = _inertia(np.linalg.eigvalsh(x), cut)
-        after = _inertia(np.linalg.eigvalsh(np.asarray(fn(x))), cut)
-        if before != after:
+        x = random_hermitian(param.shape.size, rng, complex_field=complex_field)
+        cut = 1e-9 * max(1.0, frob_norm(x))
+        signs = [(np.sum(w > cut), np.sum(w < -cut))
+                 for w in (np.linalg.eigvalsh(x), np.linalg.eigvalsh(param.apply(x)))]
+        if signs[0] != signs[1]:
             failures += 1
             if counterexample is None:
                 counterexample = x
     return InertiaReport(failures == 0, trials, failures, counterexample)
-
-
-def definiteness_invariant_check(param: SdpHadamard, trials: int = 1000, seed=0,
-                                 complex_field: bool = False) -> InertiaReport:
-    """Empirical inertia-preservation check for a block-Hadamard parameter."""
-    if not isinstance(param, SdpHadamard):
-        raise ValueError("definiteness check targets the block-Hadamard parameter")
-    return matrix_map_inertia_check(param.apply, param.shape.size, trials=trials,
-                                    seed=seed, complex_field=complex_field)

@@ -286,9 +286,6 @@ class RateBound:
         if self.anchor_sq < 0.0:
             raise ValueError("anchor must be nonnegative")
 
-    def factor(self, k: int) -> float:
-        return sharp_rate_factor(self.l_coco, k)
-
 
 @dataclass
 class RateReport:
@@ -307,7 +304,7 @@ def rate_check(trace: ConvergenceTrace, bound: RateBound) -> RateReport:
     """
     first = None
     for k, fp_sq in enumerate(trace.fp_residual_sq):
-        if fp_sq > bound.factor(k) * bound.anchor_sq:
+        if fp_sq > sharp_rate_factor(bound.l_coco, k) * bound.anchor_sq:
             first = k
             break
     return RateReport(first is None, first, trace.iterations)

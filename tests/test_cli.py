@@ -23,7 +23,7 @@ import pytest
 
 import proxsplit.cli as cli
 from proxsplit.cli import ExperimentConfig, build_parser, main, resolve_config
-from proxsplit.params import param_from_config
+from proxsplit.params import BlockShape, SdpHadamard
 from proxsplit.problems import _decode_array, build_prox_pair, gen_bqp, gen_sr, load_instance
 from proxsplit.tuning import SolutionPair, acceleration_gain
 
@@ -64,7 +64,8 @@ def test_run_writes_artifacts_and_gain_invariant(tmp_path):
     ref = json.loads((out / "reference.json").read_text())
     assert ref["schema"] == "proxsplit-reference v1"
     pair = SolutionPair(_decode_array(ref["x_ref"]), _decode_array(ref["lam_ref"]))
-    param = param_from_config(summary["param"])
+    p = summary["param"]
+    param = SdpHadamard(p["alpha"], p["beta"], BlockShape(p["N"], p["K"]))
     gain = acceleration_gain(param, pair)
     assert summary["xi"] == pytest.approx(gain.xi, rel=1e-12)
     assert summary["xi_numerator"] == pytest.approx(gain.numerator, rel=1e-12)
@@ -754,7 +755,13 @@ def test_out_of_range_settings_exit_one(tmp_path, capsys, name, value):
     ("sweep", ["--alpha-grid", "1,1e-200", "--beta-grid", "1e-200"]),
     ("sweep", ["--alpha-grid", "1e200", "--beta-grid", "1,1e200"])],
     ids=["manual-underflow", "manual-overflow", "sweep-underflow", "sweep-overflow"])
-def test_weights_that_underflow_or_overflow_exit_one(tmp_path, capsys, command, extra):
+def test_weights_that_underflow_or_overflow_exit_one(tmp_path, capsys, monkeypatch, command,
+                                                     extra):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference solved for a refused parameter")
+
+    # the weights do not depend on the instance: they are refused before its reference
+    monkeypatch.setattr(cli, "reference_solve", no_reference)
     # alpha * beta is 0 or inf in double precision, which the solve cannot undo
     out = tmp_path / command
     with warnings.catch_warnings():

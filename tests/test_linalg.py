@@ -359,7 +359,7 @@ def test_a_plan_does_not_remember_its_previous_input(complex_field, monkeypatch)
                                            (np.complex64, np.complex128),
                                            (np.complex128, np.complex128)])
 def test_project_psd_returns_the_solver_dtype_at_every_rank(dtype, result, monkeypatch):
-    # full rank, zero rank and a partial rank take three different return paths
+    # full rank takes one return path, zero and partial rank the other
     rng = np.random.default_rng(17)
     q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     double = np.dtype(dtype) == result

@@ -11,8 +11,6 @@ from proxsplit.params import (
     SdpHadamard,
     adjoint_inverse_param,
     definiteness_invariant_check,
-    matrix_map_inertia_check,
-    param_from_config,
 )
 
 RNG = np.random.default_rng(88)
@@ -134,9 +132,24 @@ def test_definiteness_invariance_check_accepts_hadamard():
         assert rep.passed and rep.failures == 0
 
 
-def test_inertia_check_flags_non_congruence_weights():
-    w = np.array([[1.0, 3.0], [3.0, 1.0]])
-    rep = matrix_map_inertia_check(lambda m: w * m, 2, trials=200, seed=1)
+def test_definiteness_check_refuses_other_parameters():
+    for param in (Identity(), Scalar(2.0)):
+        with pytest.raises(ValueError):
+            definiteness_invariant_check(param)
+
+
+class _NonCongruence(SdpHadamard):
+    """Weights ``[[1, 3], [3, 1]]``: no congruence, so they change some inertias."""
+
+    def apply(self, v):
+        return np.array([[1.0, 3.0], [3.0, 1.0]]) * v
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("seed", range(10))
+def test_inertia_check_flags_non_congruence_weights(seed, complex_field):
+    rep = definiteness_invariant_check(_NonCongruence(1.0, 1.0, BlockShape(1, 1)), trials=200,
+                                       seed=seed, complex_field=complex_field)
     assert not rep.passed
     assert rep.failures > 0
     assert rep.counterexample is not None
@@ -158,18 +171,6 @@ def test_adjoint_inverse_view_swaps_roles():
     np.testing.assert_allclose(view.inverse(x), p.adjoint(x), atol=1e-14)
     np.testing.assert_allclose(view.adjoint(x), p.inverse(x), atol=1e-14)
     np.testing.assert_allclose(view.adjoint_inverse(x), p.apply(x), atol=1e-14)
-
-
-@pytest.mark.parametrize("param", all_params())
-def test_config_round_trip(param):
-    rebuilt = param_from_config(param.to_config())
-    x = random_hermitian(5, RNG, complex_field=True)
-    np.testing.assert_allclose(rebuilt.apply(x), param.apply(x), atol=1e-14)
-
-
-def test_param_from_config_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        param_from_config({"kind": "mystery"})
 
 
 def test_base_class_is_abstract_enough():
