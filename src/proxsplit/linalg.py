@@ -94,15 +94,14 @@ _DSTEDC = _capsule_function("dstedc", 1, 11)
 _DORMTR = _capsule_function("dormtr", 3, 13)
 _ZUNMTR = _capsule_function("zunmtr", 3, 13)
 
-#: A plan's buffer starts with eleven C int slots at these byte offsets, the
-#: last one LAPACK's ``info``, then the doubles ``vl`` and ``vu``.
-_N, _LD, _M, _TRYRAC, _LWORK, _LIWORK, _COLS, _COUNT, _LCNT, _RCNT, _INFO = range(0, 44, 4)
-_VL, _VU = 48, 56
-_HEAD_BYTES = 64
+def _args(*args) -> tuple:
+    """A call's arguments: each character as it is, each array's or C scalar's address."""
+    return tuple(a if isinstance(a, bytes) else a.ctypes.data if isinstance(a, np.ndarray)
+                 else ctypes.addressof(a) for a in args)
 
 
 class _Plan:
-    """One thread's eigensolver for ``n x n`` input, its LAPACK arguments in one buffer.
+    """One thread's eigensolver for ``n x n`` input.
 
     ``dsytd2``/``zhetd2`` reduce the input to a real tridiagonal matrix.
     ``dlarrc`` counts its positive eigenvalues by Sturm sequence, and from that
@@ -110,15 +109,15 @@ class _Plan:
     a cost that grows with their number, or ``dstedc`` (divide and conquer),
     for every eigenpair at a cost that does not.
     ``dormtr``/``zunmtr`` then transform back only the positive eigenvectors;
-    complex input needs them copied into the complex array ``"c"`` first.
+    complex input needs them copied into the complex array ``c`` first.
     Every workspace has the size LAPACK documents as its minimum, so the
     back-transformation runs unblocked, like the reduction.
 
-    The head's slots are followed by named arrays, each 16-byte aligned.
-    Array ``"a"``, viewed as ``a``, takes the C-ordered input before each
-    ``eigenpairs`` call; LAPACK reads it column by column, i.e. as
-    ``conj(a)``, and overwrites it. Calls pass addresses into the buffer,
-    taken once. What ``eigenpairs`` returns is valid until the plan's next call.
+    Every LAPACK argument is a C scalar or a numpy array that the plan holds, since
+    an address does not keep its object alive; the calls pass addresses taken once.
+    Array ``a`` takes the C-ordered input before each ``eigenpairs`` call; LAPACK
+    reads it column by column, i.e. as ``conj(a)``, and overwrites it. What
+    ``eigenpairs`` returns is valid until the plan's next call.
     """
 
     def __init__(self, n: int, complex_field: bool):
@@ -126,50 +125,34 @@ class _Plan:
         dtype = np.dtype(complex if complex_field else float)
         # dstemr needs 18 n and 10 n, dstedc 1 + 4 n + n^2 and 3 + 5 n
         lwork, liwork = max(1, 18 * n, 1 + 4 * n + n * n), max(1, 10 * n)
-        sizes = {"a": n * n * dtype.itemsize, "d": n * 8, "e": n * 8, "tau": n * dtype.itemsize,
-                 "w": n * 8, "z": n * n * 8, "c": n * n * dtype.itemsize if complex_field else 0,
-                 "isuppz": 2 * n * 4, "work": lwork * 8, "iwork": liwork * 4}
-        self.offsets, pos = {}, _HEAD_BYTES
-        for key, size in sizes.items():
-            self.offsets[key] = pos
-            pos += -(-max(size, 1) // 16) * 16
-        self.buf = np.zeros(pos, dtype=np.uint8)
         # the back-transformation's workspace, max(1, n), is the leading dimension
-        self.buf[:_COUNT].view(np.intc)[:] = (n, max(n, 1), 0, 1, lwork, liwork, n)
-        self.buf[_VL:_HEAD_BYTES].view(np.float64)[:] = (0.0, np.inf)
-        # a third of the time ``buf.ctypes.data`` takes
-        self.base = ctypes.addressof(ctypes.c_char.from_buffer(self.buf))
-        self.info, self.m, self.tryrac, self.cols, self.count = (ctypes.c_int.from_buffer(
-            self.buf, slot) for slot in (_INFO, _M, _TRYRAC, _COLS, _COUNT))
-        self.a = self.view("a", dtype, n * n).reshape(n, n)
-        self.d, self.w = self.view("d", np.float64, n), self.view("w", np.float64, n)
-        self.z = self.view("z", np.float64, n * n).reshape(n, n)
-        self.c = self.view("c", dtype, n * n).reshape(n, n) if complex_field else None
-
-        o = self.offsets
+        self.dim, self.ld, self.lwork, self.liwork = (
+            ctypes.c_int(v) for v in (n, max(n, 1), lwork, liwork))
+        self.m, self.tryrac, self.cols, self.count, self.lcnt, self.rcnt, self.info = (
+            ctypes.c_int() for _ in range(7))
+        self.vl, self.vu = ctypes.c_double(0.0), ctypes.c_double(np.inf)
+        self.a, self.tau = np.zeros((n, n), dtype), np.zeros(n, dtype)
+        self.d, self.e, self.w, self.z = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros((n, n))
+        self.c = np.zeros((n, n), dtype) if complex_field else None
+        self.isuppz, self.iwork = np.zeros(2 * n, np.intc), np.zeros(liwork, np.intc)
+        self.work = np.zeros(lwork)
         self.trd = _ZHETD2 if complex_field else _DSYTD2
-        self.trd_args = self.args((b"L",), (_N, o["a"], _LD, o["d"], o["e"], o["tau"], _INFO))
+        self.trd_args = _args(b"L", self.dim, self.a, self.ld, self.d, self.e, self.tau, self.info)
         # the Sturm count on T does not read its pivmin argument, given vl's address
-        self.count_args = self.args((b"T",), (_N, _VL, _VU, o["d"], o["e"], _VL, _COUNT, _LCNT,
-                                              _RCNT, _INFO))
+        self.count_args = _args(b"T", self.dim, self.vl, self.vu, self.d, self.e, self.vl,
+                                self.count, self.lcnt, self.rcnt, self.info)
         # il and iu are not read on a value range; nzc = n columns hold any count
-        self.stemr_args = self.args((b"V", b"V"), (
-            _N, o["d"], o["e"], _VL, _VU, _N, _N, _M, o["w"], o["z"], _LD, _N, o["isuppz"],
-            _TRYRAC, o["work"], _LWORK, o["iwork"], _LIWORK, _INFO))
-        self.stedc_args = self.args((b"I",), (_N, o["d"], o["e"], o["z"], _LD, o["work"], _LWORK,
-                                              o["iwork"], _LIWORK, _INFO))
+        self.stemr_args = _args(b"V", b"V", self.dim, self.d, self.e, self.vl, self.vu, self.dim,
+                                self.dim, self.m, self.w, self.z, self.ld, self.dim, self.isuppz,
+                                self.tryrac, self.work, self.lwork, self.iwork, self.liwork,
+                                self.info)
+        self.stedc_args = _args(b"I", self.dim, self.d, self.e, self.z, self.ld, self.work,
+                                self.lwork, self.iwork, self.liwork, self.info)
         self.mtr = _ZUNMTR if complex_field else _DORMTR
-        # the argument between these is the eigenvector array, which depends on the call
-        self.mtr_head = self.args((b"L", b"L", b"N"), (_N, _COLS, o["a"], _LD, o["tau"]))
-        self.mtr_tail = self.args((), (_LD, o["work"], _LD, _INFO))
-
-    def view(self, key: str, dtype, count: int) -> np.ndarray:
-        start = self.offsets[key]
-        return self.buf[start:start + count * np.dtype(dtype).itemsize].view(dtype)
-
-    def args(self, chars: tuple[bytes, ...], arg_offsets) -> tuple:
-        """A call's arguments: ``chars``, then the addresses of ``arg_offsets`` in the buffer."""
-        return (*chars, *[self.base + off for off in arg_offsets])
+        # the argument between these is the eigenvector array, z or c, which depends on the call
+        self.mtr_head = _args(b"L", b"L", b"N", self.dim, self.cols, self.a, self.ld, self.tau)
+        self.mtr_tail = _args(self.ld, self.work, self.ld, self.info)
+        self.vectors = (self.z if self.c is None else self.c).ctypes.data
 
     def run(self, routine, args: tuple) -> None:
         """Call ``routine`` on ``args``; ``info != 0`` raises ``LinAlgError``."""
@@ -178,7 +161,7 @@ class _Plan:
             raise np.linalg.LinAlgError(f"eigensolver failed (info={self.info.value})")
 
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the buffer."""
+        """Positive eigenvalues ascending and eigenvectors of ``conj(a)`` as rows, in the plan."""
         self.run(self.trd, self.trd_args)
         # the count picks the solver only: dlarrc's exact-zero pivots may put it off
         self.run(_DLARRC, self.count_args)
@@ -196,12 +179,11 @@ class _Plan:
         r = self.cols.value = w.size
         if self.c is None:
             rows = self.z[first:first + r]  # in place: the columns are contiguous
-            c = self.base + self.offsets["z"] + first * self.n * 8
+            vectors = self.vectors + first * self.n * 8
         else:
-            rows = self.c[:r]
+            rows, vectors = self.c[:r], self.vectors
             rows[...] = self.z[first:first + r]
-            c = self.base + self.offsets["c"]
-        self.run(self.mtr, (*self.mtr_head, c, *self.mtr_tail))
+        self.run(self.mtr, (*self.mtr_head, vectors, *self.mtr_tail))
         return w, rows
 
 
@@ -219,7 +201,7 @@ _plans = threading.local()
 
 
 def _plan(n: int, complex_field: bool) -> _Plan:
-    """The calling thread's plan, made on its first call: threads share no buffer."""
+    """The calling thread's plan, made on its first call: threads share no argument."""
     by_key = vars(_plans).setdefault("by_key", {})
     plan = by_key.get((n, complex_field))
     if plan is None:
@@ -240,7 +222,7 @@ def positive_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     plan.a[...] = h
     w, rows = plan.eigenpairs()
     # LAPACK worked on conj(h) and returns its eigenvectors as the rows of a
-    # C-ordered array; both results are copied out of the plan's buffer.
+    # C-ordered array; both results are copied out of the plan.
     return w.copy(), np.conjugate(rows).T
 
 
@@ -254,7 +236,7 @@ def project_psd(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("project_psd expects a square matrix")
     plan = _plan(m.shape[0], np.iscomplexobj(m))
-    # the Hermitian part goes straight into the eigensolver's input slot
+    # the Hermitian part goes straight into the eigensolver's input array
     h = plan.a
     np.add(m, m.conj().T, out=h)
     h *= 0.5

@@ -71,8 +71,7 @@ class SrInstance:
 
 def bqp_objective(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Lifted linear objective matrix of ``||a x - b||^2`` (constant term dropped)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = a.shape[1]
     g = np.zeros((n + 1, n + 1))
     g[:n, :n] = a.T @ a
@@ -86,6 +85,15 @@ def _check_finite(key: str, a: np.ndarray) -> None:
     """Refuse instance array ``key`` when it holds an infinite or NaN entry."""
     if not np.all(np.isfinite(a)):
         raise ValueError(f"instance array {key!r} has non-finite entries")
+
+
+def _check_derived(key: str, a: np.ndarray, derive) -> None:
+    """Refuse instance array ``key`` unless within 1e-12 of ``derive()``, relative in Frobenius norm."""
+    with np.errstate(over="ignore", invalid="ignore"):  # scaled to its largest entry: no overflow
+        derived = derive()
+        scale = np.max(np.abs(derived), initial=0.0) or 1.0
+        if not np.linalg.norm((a - derived) / scale) <= 1e-12 * np.linalg.norm(derived / scale):
+            raise ValueError(f"instance array {key!r} contradicts the data it derives from")
 
 
 def gen_bqp(n: int, k: int, sigma_a: float, sigma_b: float, seed: int) -> BqpInstance:
@@ -126,18 +134,31 @@ def _separated_locations(rng: np.random.Generator, k: int, gap: float) -> np.nda
     return (rng.random() + np.cumsum(spacing)) % 1.0
 
 
+def _spike_samples(n: int, taus: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The ``n`` samples of spikes at ``taus`` with amplitudes ``c``."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(n), taus)) @ c
+
+
+def _sr_objective(n: int) -> np.ndarray:
+    """Lifted linear objective matrix of every SR instance on ``n`` samples."""
+    return np.diag(np.append(np.full(n, 1.0 / (2.0 * n)), 0.5))
+
+
 def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int) -> SrInstance:
     """Random separated point sources, Gaussian amplitudes, partial observations.
 
     Spike locations are uniform on the circle given that every circular gap
     is at least ``1/n``, which uniform draws meet with probability
     ``(1 - k/n)^(k-1)``. Amplitudes are real Gaussian; a fixed fraction of
-    the samples is observed. Non-finite data raise ``ValueError``.
+    the samples, at least one, is observed. Non-finite data raise ``ValueError``.
     """
     if n < 1 or k < 1 or sigma <= 0:
         raise ValueError("need positive dimensions and amplitude scale")
     if not 0.0 < obs_frac <= 1.0:
         raise ValueError("observed fraction must lie in (0, 1]")
+    m = int(round(obs_frac * n))
+    if m == 0:
+        raise ValueError(f"observed fraction {obs_frac:g} of {n} samples observes none")
     if k > n:
         raise ValueError("cannot separate more spikes than samples")
     if k == n > 1:  # only evenly spaced spikes are 1/n apart, which rounding may undo
@@ -151,16 +172,12 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int) -> SrInstan
     else:
         raise RuntimeError("failed to draw separated spike locations")
     c = gaussian_sample(k, 1, sigma, [seed, 1]).ravel()
-    x_star = np.exp(-2j * np.pi * np.outer(np.arange(n), taus)) @ c
+    x_star = _spike_samples(n, taus, c)
     for key, arr in (("c", c), ("x_star", x_star)):
         _check_finite(key, arr)
-    m = int(round(obs_frac * n))
     omega = np.sort(np.random.default_rng([seed, 2]).choice(n, size=m, replace=False))
-    g_f = np.zeros((n + 1, n + 1))
-    g_f[:n, :n] = np.eye(n) / (2.0 * n)
-    g_f[n, n] = 0.5
     return SrInstance(n=n, k=k, taus=taus, c=c, x_star=x_star, omega=omega,
-                      g_f=g_f, sigma=sigma, obs_frac=obs_frac, seed=seed)
+                      g_f=_sr_objective(n), sigma=sigma, obs_frac=obs_frac, seed=seed)
 
 
 class _GramTerms:
@@ -311,8 +328,8 @@ def load_instance(path):
 
     Raises ``ValueError`` for a foreign document, a non-finite array or one
     whose shape disagrees with the stored ``n`` and ``k``, a noise level or
-    observed fraction out of range, a negative seed or repeated ``omega``
-    indices.
+    observed fraction out of range, a negative seed, an empty or repeated
+    ``omega``, or a ``g_f`` or SR ``x_star`` that the other data do not give.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -327,21 +344,22 @@ def load_instance(path):
         raise ValueError(f"instance seed must be an integer >= 0, got {seed!r}")
     g_f = _checked_array(doc, "g_f", (n + 1, n + 1))
     if doc["kind"] == "bqp":
-        return BqpInstance(a=_checked_array(doc, "a", (k, n)),
-                           b=_checked_array(doc, "b", (k,)), g_f=g_f,
-                           shape=BlockShape(n, 1), seed=seed,
+        a, b = _checked_array(doc, "a", (k, n)), _checked_array(doc, "b", (k,))
+        _check_derived("g_f", g_f, lambda: bqp_objective(a, b))
+        return BqpInstance(a=a, b=b, g_f=g_f, shape=BlockShape(n, 1), seed=seed,
                            sigma_a=_checked_number(doc, "sigma_a"),
                            sigma_b=_checked_number(doc, "sigma_b"))
     if doc["kind"] == "sr":
         omega = _checked_array(doc, "omega", None)
-        if (omega.ndim != 1 or not np.issubdtype(omega.dtype, np.integer)
+        if (omega.ndim != 1 or omega.size == 0 or not np.issubdtype(omega.dtype, np.integer)
                 or np.any((omega < 0) | (omega >= n)) or np.unique(omega).size != omega.size):
-            raise ValueError(f"instance array 'omega' must list distinct integer indices "
-                             f"in [0, {n})")
-        return SrInstance(n=n, k=k, taus=_checked_array(doc, "taus", (k,)),
-                          c=_checked_array(doc, "c", (k,)),
-                          x_star=_checked_array(doc, "x_star", (n,)),
-                          omega=omega, g_f=g_f, sigma=_checked_number(doc, "sigma"),
+            raise ValueError(f"instance 'omega' must hold one or more distinct indices in [0, {n})")
+        taus, c = _checked_array(doc, "taus", (k,)), _checked_array(doc, "c", (k,))
+        x_star = _checked_array(doc, "x_star", (n,))
+        _check_derived("g_f", g_f, lambda: _sr_objective(n))
+        _check_derived("x_star", x_star, lambda: _spike_samples(n, taus, c))
+        return SrInstance(n=n, k=k, taus=taus, c=c, x_star=x_star, omega=omega, g_f=g_f,
+                          sigma=_checked_number(doc, "sigma"),
                           obs_frac=_checked_number(doc, "obs_frac", 1.0), seed=seed)
     raise ValueError(f"unknown instance kind: {doc['kind']!r}")
 

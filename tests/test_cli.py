@@ -502,6 +502,22 @@ def _repeated_omega(doc):
     doc["omega"]["data"][1] = doc["omega"]["data"][0]
 
 
+def _tripled_g_f_pair(doc):
+    # the solver would run on the file's g_f, the a-priori parameter on a and b
+    for i, j in ((0, 1), (1, 0)):
+        doc["g_f"]["data"][i][j] *= 3.0
+
+
+def _changed_sr_objective(doc):
+    doc["g_f"]["data"][-1][-1] = 1.0  # 0.5 for every SR instance
+
+
+def _doubled_observed_sample(doc):
+    i = doc["omega"]["data"][0]
+    doc["x_star"]["re"][i] *= 2.0
+    doc["x_star"]["im"][i] *= 2.0
+
+
 # (id, small instance, spoil); the spoil returns the document to write, or None
 # for the one it edited in place
 BAD_INSTANCES = [
@@ -523,6 +539,11 @@ BAD_INSTANCES = [
     ("sr-obs-frac-above-one", SR_SMALL, lambda doc: doc.update(obs_frac=1.5)),
     ("sr-obs-frac-zero", SR_SMALL, lambda doc: doc.update(obs_frac=0)),
     ("sr-omega-repeated", SR_SMALL, _repeated_omega),
+    ("sr-omega-empty", SR_SMALL,
+     lambda doc: doc.update(omega={"shape": [0], "dtype": "int", "data": []})),
+    ("bqp-g-f-contradicts-a-b", BQP_SMALL, _tripled_g_f_pair),
+    ("sr-g-f-contradicts-n", SR_SMALL, _changed_sr_objective),
+    ("sr-x-star-contradicts-spikes", SR_SMALL, _doubled_observed_sample),
 ]
 
 
@@ -610,6 +631,17 @@ def test_more_sr_spikes_than_samples_exits_one(tmp_path, capsys, command):
     code = main([command, "--app", "sr", "--n", "5", "--k", "10", *extra, "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: sr needs k <= n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "sweep", "protocol"])
+def test_an_sr_draw_that_observes_no_sample_exits_one(tmp_path, capsys, command):
+    # round(0.01 * 12) = 0 observed samples: the solution would be zero and every row trivial
+    out = tmp_path / command
+    extra = ["--alpha-grid", "0.5,1"] if command == "sweep" else []
+    code = main([command, *SR_SMALL, "--obs-frac", "0.01", *extra, "--out", str(out)])
+    assert code == 1
+    assert "observes none" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import sys
 import threading
 
@@ -291,7 +292,7 @@ def test_concurrent_projections_match_serial_results(monkeypatch):
 
 
 def test_plans_belong_to_one_thread():
-    # a thread reuses its plan; another thread gets its own, with its own buffer
+    # a thread reuses its plan; another thread gets its own, with its own arrays
     mine = linalg._plan(7, False)
     assert linalg._plan(7, False) is mine
     theirs = []
@@ -304,8 +305,52 @@ def test_plans_belong_to_one_thread():
     t.start()
     t.join(timeout=60)
     assert len(theirs) == 2 and theirs[0] is theirs[1]
-    assert theirs[0] is not mine and not np.shares_memory(theirs[0].buf, mine.buf)
+    assert theirs[0] is not mine and not np.shares_memory(theirs[0].a, mine.a)
     assert linalg._plan(7, False) is mine
+
+
+def on_new_thread(task):
+    """``task()`` run on a thread of its own, so with plans of its own."""
+    results = []
+    t = threading.Thread(target=lambda: results.append(task()))
+    t.start()
+    t.join(timeout=60)
+    return results.pop()
+
+
+def plan_projection(plan, h):
+    """The product ``project_psd`` forms from ``plan``'s positive eigenpairs of ``h``."""
+    plan.a[...] = h
+    w, rows = plan.eigenpairs()
+    return (rows.conj().T * w) @ rows
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_a_plan_owns_every_address_it_passes(complex_field, monkeypatch):
+    # an address does not keep its object alive, so every one a plan passes to
+    # LAPACK must lie inside an array or C scalar that the plan references
+    for n in (1, 7, 41, 51):
+        plan = on_new_thread(lambda: linalg._plan(n, complex_field))  # its thread is gone
+        owned = []
+        for obj in vars(plan).values():
+            if isinstance(obj, np.ndarray):
+                owned.append((obj.ctypes.data, obj.nbytes))
+            elif isinstance(obj, (ctypes.c_int, ctypes.c_double)):
+                owned.append((ctypes.addressof(obj), ctypes.sizeof(obj)))
+        # the real back-transformation starts at a row of z that depends on the call
+        addresses = [plan.vectors, plan.vectors + (0 if complex_field else (n - 1) * n * 8)]
+        for args in (plan.trd_args, plan.count_args, plan.stemr_args, plan.stedc_args,
+                     plan.mtr_head, plan.mtr_tail):
+            addresses += [arg for arg in args if not isinstance(arg, bytes)]
+        assert len(addresses) == 2 + 7 + 10 + 19 + 10 + 9  # every pointer of the six calls
+        for address in addresses:
+            assert any(start <= address < start + size for start, size in owned), address
+        gc.collect()
+        h = spectrum_case("mixed", n, complex_field, seed=n)
+        for mrrr in (True, False):
+            force_mrrr(monkeypatch, mrrr)
+            fresh = on_new_thread(lambda: plan_projection(linalg._plan(n, complex_field), h))
+            np.testing.assert_array_equal(plan_projection(plan, h), fresh)
 
 
 def definite_blocks(n, complex_field, seed):

@@ -1,5 +1,6 @@
 """Instance generators, serialization and high-precision references."""
 
+import dataclasses
 import json
 import pickle
 from functools import partial
@@ -169,6 +170,10 @@ def test_gen_sr_validation():
         gen_sr(10, 11, 2.0, 0.8, 0)
     with pytest.raises(ValueError):
         gen_sr(10, 3, 0.0, 0.8, 0)
+    # round(0.01 * 12) = 0 samples observed; round(0.05 * 12) = 1
+    with pytest.raises(ValueError, match="observes none"):
+        gen_sr(12, 3, 2.0, 0.01, 5)
+    assert gen_sr(12, 3, 2.0, 0.05, 5).omega.size == 1
 
 
 def test_gen_sr_gives_up_when_separation_is_impossible():
@@ -240,6 +245,28 @@ def test_load_rejects_inconsistent_sr_documents(tmp_path, key, data, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         load_instance(path)
+
+
+@pytest.mark.parametrize("make", [partial(gen_bqp, 6, 8, 0.05, 1.0),
+                                  partial(gen_bqp, 40, 50, 0.05, 1.0),
+                                  partial(gen_sr, 12, 3, 2.0, 0.8),
+                                  partial(gen_sr, 50, 10, 2.0, 0.8)],
+                         ids=["bqp-6-8", "bqp-40-50", "sr-12-3", "sr-50-10"])
+def test_every_generated_instance_passes_the_load_check(tmp_path, make):
+    # load recomputes g_f (and SR's x_star) from the other data and refuses a
+    # stored array off by more than 1e-12; what gen writes must pass, bit for bit
+    for seed in range(10):
+        inst = make(seed=seed)
+        path = tmp_path / f"{seed}.json"
+        save_instance(inst, path)
+        back = load_instance(path)
+        for field in dataclasses.fields(inst):
+            mine, theirs = getattr(inst, field.name), getattr(back, field.name)
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+                assert mine.tobytes() == theirs.tobytes(), (seed, field.name)
+            else:
+                assert mine == theirs, (seed, field.name)
 
 
 def test_save_rejects_unknown_objects(tmp_path):
