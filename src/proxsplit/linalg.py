@@ -108,8 +108,8 @@ class _Plan:
     count ``_mrrr`` picks ``dstemr`` (MRRR) on ``(0, +inf]``, for them alone at
     a cost that grows with their number, or ``dstedc`` (divide and conquer),
     for every eigenpair at a cost that does not.
-    ``dormtr``/``zunmtr`` then transform back only the positive eigenvectors;
-    complex input needs them copied into the complex array ``c`` first.
+    ``dormtr``/``zunmtr`` then transform back only the positive eigenvectors,
+    on their copy in ``c``, which has the input's dtype.
     Every workspace has the size LAPACK documents as its minimum, so the
     back-transformation runs unblocked, like the reduction.
 
@@ -133,7 +133,7 @@ class _Plan:
         self.vl, self.vu = ctypes.c_double(0.0), ctypes.c_double(np.inf)
         self.a, self.tau = np.zeros((n, n), dtype), np.zeros(n, dtype)
         self.d, self.e, self.w, self.z = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros((n, n))
-        self.c = np.zeros((n, n), dtype) if complex_field else None
+        self.c = np.zeros((n, n), dtype)
         self.isuppz, self.iwork = np.zeros(2 * n, np.intc), np.zeros(liwork, np.intc)
         self.work = np.zeros(lwork)
         self.trd = _ZHETD2 if complex_field else _DSYTD2
@@ -149,10 +149,8 @@ class _Plan:
         self.stedc_args = _args(b"I", self.dim, self.d, self.e, self.z, self.ld, self.work,
                                 self.lwork, self.iwork, self.liwork, self.info)
         self.mtr = _ZUNMTR if complex_field else _DORMTR
-        # the argument between these is the eigenvector array, z or c, which depends on the call
-        self.mtr_head = _args(b"L", b"L", b"N", self.dim, self.cols, self.a, self.ld, self.tau)
-        self.mtr_tail = _args(self.ld, self.work, self.ld, self.info)
-        self.vectors = (self.z if self.c is None else self.c).ctypes.data
+        self.mtr_args = _args(b"L", b"L", b"N", self.dim, self.cols, self.a, self.ld, self.tau,
+                              self.c, self.ld, self.work, self.ld, self.info)
 
     def run(self, routine, args: tuple) -> None:
         """Call ``routine`` on ``args``; ``info != 0`` raises ``LinAlgError``."""
@@ -177,13 +175,9 @@ class _Plan:
             w = self.d[first:]
         # apply the reduction's reflectors to tridiagonal eigenvectors first, ..., first + r - 1
         r = self.cols.value = w.size
-        if self.c is None:
-            rows = self.z[first:first + r]  # in place: the columns are contiguous
-            vectors = self.vectors + first * self.n * 8
-        else:
-            rows, vectors = self.c[:r], self.vectors
-            rows[...] = self.z[first:first + r]
-        self.run(self.mtr, (*self.mtr_head, vectors, *self.mtr_tail))
+        rows = self.c[:r]
+        rows[...] = self.z[first:first + r]
+        self.run(self.mtr, self.mtr_args)
         return w, rows
 
 
@@ -207,23 +201,6 @@ def _plan(n: int, complex_field: bool) -> _Plan:
     if plan is None:
         plan = by_key[(n, complex_field)] = _Plan(n, complex_field)
     return plan
-
-
-def positive_eigenpairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of finite Hermitian ``h`` with strictly positive eigenvalue.
-
-    Returns ``(w, v)``, ``w`` ascending, ``v`` with one eigenvector per
-    column, like ``np.linalg.eigh`` restricted to ``w > 0``. The tridiagonal
-    reduction is paid in full, but only the positive eigenvectors are
-    transformed back. ``h`` must be exactly Hermitian, since LAPACK reads
-    one triangle only.
-    """
-    plan = _plan(h.shape[0], np.iscomplexobj(h))
-    plan.a[...] = h
-    w, rows = plan.eigenpairs()
-    # LAPACK worked on conj(h) and returns its eigenvectors as the rows of a
-    # C-ordered array; both results are copied out of the plan.
-    return w.copy(), np.conjugate(rows).T
 
 
 def project_psd(m) -> np.ndarray:

@@ -115,6 +115,19 @@ def _min_circular_gap(taus: np.ndarray) -> float:
     return float(np.min(np.diff(t, append=t[0] + 1.0)))
 
 
+def _separated(taus: np.ndarray, n: int) -> bool:
+    """Whether spike locations ``taus`` lie in ``[0, 1)`` with circular gaps of at least ``1/n``."""
+    return bool(np.all((taus >= 0.0) & (taus < 1.0))) and _min_circular_gap(taus) >= 1.0 / n
+
+
+def _observed_count(n: int, obs_frac: float) -> int:
+    """How many of ``n`` samples an SR instance observes at fraction ``obs_frac``; none raises."""
+    m = int(round(obs_frac * n))
+    if m == 0:
+        raise ValueError(f"observed fraction {obs_frac:g} of {n} samples observes none")
+    return m
+
+
 #: ``gen_sr`` redraws uniform spike locations while all are separated with at
 #: least this probability, and samples the gaps directly below it.
 _SR_REDRAW_MIN_P = 1e-3
@@ -156,9 +169,7 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int) -> SrInstan
         raise ValueError("need positive dimensions and amplitude scale")
     if not 0.0 < obs_frac <= 1.0:
         raise ValueError("observed fraction must lie in (0, 1]")
-    m = int(round(obs_frac * n))
-    if m == 0:
-        raise ValueError(f"observed fraction {obs_frac:g} of {n} samples observes none")
+    m = _observed_count(n, obs_frac)
     if k > n:
         raise ValueError("cannot separate more spikes than samples")
     if k == n > 1:  # only evenly spaced spikes are 1/n apart, which rounding may undo
@@ -167,7 +178,7 @@ def gen_sr(n: int, k: int, sigma: float, obs_frac: float, seed: int) -> SrInstan
     redraw = (1.0 - k / n) ** (k - 1) >= _SR_REDRAW_MIN_P
     for _ in range(_SR_MAX_TRIES):
         taus = rng.random(k) if redraw else _separated_locations(rng, k, 1.0 / n)
-        if _min_circular_gap(taus) >= 1.0 / n:
+        if _separated(taus, n):
             break
     else:
         raise RuntimeError("failed to draw separated spike locations")
@@ -328,8 +339,10 @@ def load_instance(path):
 
     Raises ``ValueError`` for a foreign document, a non-finite array or one
     whose shape disagrees with the stored ``n`` and ``k``, a noise level or
-    observed fraction out of range, a negative seed, an empty or repeated
-    ``omega``, or a ``g_f`` or SR ``x_star`` that the other data do not give.
+    observed fraction out of range, a negative seed, a repeated ``omega`` or
+    one whose size is not the observed fraction's count of samples, spikes
+    that ``gen_sr`` would not draw (outside ``[0, 1)`` or closer than ``1/n``),
+    or a ``g_f`` or SR ``x_star`` that the other data do not give.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -350,17 +363,22 @@ def load_instance(path):
                            sigma_a=_checked_number(doc, "sigma_a"),
                            sigma_b=_checked_number(doc, "sigma_b"))
     if doc["kind"] == "sr":
+        obs_frac = _checked_number(doc, "obs_frac", 1.0)
+        m = _observed_count(n, obs_frac)
         omega = _checked_array(doc, "omega", None)
-        if (omega.ndim != 1 or omega.size == 0 or not np.issubdtype(omega.dtype, np.integer)
-                or np.any((omega < 0) | (omega >= n)) or np.unique(omega).size != omega.size):
-            raise ValueError(f"instance 'omega' must hold one or more distinct indices in [0, {n})")
+        if (omega.shape != (m,) or not np.issubdtype(omega.dtype, np.integer)
+                or np.any((omega < 0) | (omega >= n)) or np.unique(omega).size != m):
+            raise ValueError(f"instance 'omega' must hold round(obs_frac * n) = {m} "
+                             f"distinct indices in [0, {n})")
         taus, c = _checked_array(doc, "taus", (k,)), _checked_array(doc, "c", (k,))
+        if not _separated(taus, n):
+            raise ValueError(f"instance 'taus' must lie in [0, 1) with circular gaps of at "
+                             f"least 1/n = {1.0 / n:g}")
         x_star = _checked_array(doc, "x_star", (n,))
         _check_derived("g_f", g_f, lambda: _sr_objective(n))
         _check_derived("x_star", x_star, lambda: _spike_samples(n, taus, c))
         return SrInstance(n=n, k=k, taus=taus, c=c, x_star=x_star, omega=omega, g_f=g_f,
-                          sigma=_checked_number(doc, "sigma"),
-                          obs_frac=_checked_number(doc, "obs_frac", 1.0), seed=seed)
+                          sigma=_checked_number(doc, "sigma"), obs_frac=obs_frac, seed=seed)
     raise ValueError(f"unknown instance kind: {doc['kind']!r}")
 
 

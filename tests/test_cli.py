@@ -24,7 +24,8 @@ import pytest
 import proxsplit.cli as cli
 from proxsplit.cli import ExperimentConfig, build_parser, main, resolve_config
 from proxsplit.params import BlockShape, SdpHadamard
-from proxsplit.problems import _decode_array, build_prox_pair, gen_bqp, gen_sr, load_instance
+from proxsplit.problems import (_decode_array, _spike_samples, build_prox_pair, gen_bqp, gen_sr,
+                                load_instance)
 from proxsplit.tuning import SolutionPair, acceleration_gain
 
 BQP_SMALL = ["--app", "bqp", "--n", "6", "--k", "8", "--seed", "5"]
@@ -518,6 +519,19 @@ def _doubled_observed_sample(doc):
     doc["x_star"]["im"][i] *= 2.0
 
 
+def _crowded_spikes(doc):
+    # x_star follows the moved spike, so only the 1/n separation is broken
+    taus = doc["taus"]["data"]
+    taus[1] = taus[0] + 0.001
+    x_star = _spike_samples(doc["n"], np.array(taus), _decode_array(doc["c"]))
+    doc["x_star"].update(re=x_star.real.tolist(), im=x_star.imag.tolist())
+
+
+def _spike_outside_the_circle(doc):
+    # a whole turn away gives the same samples, within the 1e-12 of the x_star check
+    doc["taus"]["data"][0] += 1.0
+
+
 # (id, small instance, spoil); the spoil returns the document to write, or None
 # for the one it edited in place
 BAD_INSTANCES = [
@@ -544,6 +558,10 @@ BAD_INSTANCES = [
     ("bqp-g-f-contradicts-a-b", BQP_SMALL, _tripled_g_f_pair),
     ("sr-g-f-contradicts-n", SR_SMALL, _changed_sr_objective),
     ("sr-x-star-contradicts-spikes", SR_SMALL, _doubled_observed_sample),
+    ("sr-omega-contradicts-obs-frac", SR_SMALL,
+     lambda doc: doc["omega"].update(shape=[1], data=doc["omega"]["data"][:1])),
+    ("sr-spikes-crowded", SR_SMALL, _crowded_spikes),
+    ("sr-spike-outside-unit-interval", SR_SMALL, _spike_outside_the_circle),
 ]
 
 

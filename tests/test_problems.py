@@ -250,11 +250,14 @@ def test_load_rejects_inconsistent_sr_documents(tmp_path, key, data, match):
 @pytest.mark.parametrize("make", [partial(gen_bqp, 6, 8, 0.05, 1.0),
                                   partial(gen_bqp, 40, 50, 0.05, 1.0),
                                   partial(gen_sr, 12, 3, 2.0, 0.8),
-                                  partial(gen_sr, 50, 10, 2.0, 0.8)],
-                         ids=["bqp-6-8", "bqp-40-50", "sr-12-3", "sr-50-10"])
+                                  partial(gen_sr, 50, 10, 2.0, 0.8),
+                                  partial(gen_sr, 50, 25, 2.0, 0.8)],
+                         ids=["bqp-6-8", "bqp-40-50", "sr-12-3", "sr-50-10", "sr-50-25"])
 def test_every_generated_instance_passes_the_load_check(tmp_path, make):
     # load recomputes g_f (and SR's x_star) from the other data and refuses a
-    # stored array off by more than 1e-12; what gen writes must pass, bit for bit
+    # stored array off by more than 1e-12, and SR spikes closer than 1/n; what
+    # gen writes must pass, bit for bit, also spikes drawn by gap sampling
+    # (50/25), whose gaps lie near 1/n
     for seed in range(10):
         inst = make(seed=seed)
         path = tmp_path / f"{seed}.json"

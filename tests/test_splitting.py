@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxsplit import linalg
-from proxsplit.linalg import (frob_norm, hermitian_part, positive_eigenpairs, project_toeplitz,
-                              random_hermitian)
+from proxsplit.linalg import frob_norm, hermitian_part, project_toeplitz, random_hermitian
 from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
 from proxsplit.problems import build_prox_pair, gen_bqp, gen_sr
 from proxsplit.prox import (FixedEntrySet, ProxPair, prox_linear_diag1, prox_linear_sr,
@@ -245,6 +244,15 @@ def test_mse_stopping_uses_reference():
 
 # The DRS step as first written, kept as the oracle of the lean one: the
 # same operations in the same order, so every iterate must agree bit for bit.
+
+def positive_eigenpairs(h):
+    """``np.linalg.eigh(h)`` restricted to positive eigenvalues, from the calling thread's plan."""
+    plan = linalg._plan(h.shape[0], np.iscomplexobj(h))
+    plan.a[...] = h
+    w, rows = plan.eigenpairs()
+    # the plan works on conj(h) and returns its eigenvectors as rows
+    return w.copy(), np.conjugate(rows).T
+
 
 def plain_project_psd(m):
     h = hermitian_part(m)
