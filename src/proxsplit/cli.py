@@ -117,11 +117,14 @@ _SWITCHABLE = {"mse_eps", "opt_eps"}
 #: every setting by name, with the type its text converts to
 _TYPES = {name: (get_args(hint) or (hint,))[0]
           for name, hint in get_type_hints(ExperimentConfig).items()}
+#: the settings each app's generator reads, all of which an --instance file pins
+_GENERATOR = {"bqp": {"n", "k", "seed", "sigma_a", "sigma_b"},
+              "sr": {"n", "k", "seed", "sigma", "obs_frac"}}
 
 
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
-    raw: dict[str, str] = {}
+    raw, seen = {}, {}  # each key's value and line number
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -133,7 +136,10 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        raw[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {seen[key]}")
+        raw[key], seen[key] = value, lineno
     return raw
 
 
@@ -147,15 +153,16 @@ def _coerce(key: str, value: str):
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults, then config file, then flags."""
+    """Defaults, then config file, then flags, limited to the settings ``args.command`` reads."""
+    settings = COMMANDS[args.command][2]
     merged: dict = {}
     if args.config:
         file_cfg = read_config_file(args.config)
-        unknown = set(file_cfg) - _TYPES.keys()
+        unknown = set(file_cfg) - set(settings)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"config keys that {args.command} does not take: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in _TYPES:
+    for key in settings:
         val = getattr(args, key)
         if val is not None:
             merged[key] = val
@@ -163,6 +170,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for key, value in merged.items():
         setattr(cfg, key, _coerce(key, value))
     cfg.validate()
+    # with every value checked, refuse the given settings that the file, app or mode leaves unread
+    given, generated = merged.keys(), _GENERATOR["bqp"] | _GENERATOR["sr"]
+    unread, why = given & generated - _GENERATOR[cfg.app], f"app {cfg.app} does not read"
+    if cfg.instance:
+        unread, why = given & generated, "the --instance file pins"
+    if not unread and cfg.param_mode != "manual":
+        unread, why = given & {"alpha", "beta"}, f"param-mode {cfg.param_mode} does not read"
+    if unread:
+        raise ConfigError(f"{why} {', '.join(sorted(unread))}")
     return cfg
 
 
@@ -454,17 +470,27 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
     return 0
 
 
+_GEN = "app n k sigma_a sigma_b sigma obs_frac seed instance out"
+_SOLVE = _GEN + " mse_eps opt_eps max_iters ref_eps ref_max_iters"
+#: each subcommand's function, help line and the settings it reads: its only flags and config keys
+COMMANDS = {
+    "run": (cmd_run, "single parametrized solve with artifacts and rate audit",
+            f"{_SOLVE} param_mode alpha beta".split()),
+    "sweep": (cmd_sweep, "iteration counts over a parameter grid",
+              f"{_SOLVE} jobs alpha_grid beta_grid".split()),
+    "protocol": (cmd_protocol, "the app's iteration-count table", f"{_SOLVE} jobs".split()),
+    "gen": (cmd_gen, "write a problem instance file", _GEN.split()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="proxsplit",
                                      description="Parametrized splitting experiments "
                                                  "on block-structured SDPs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (("run", "single parametrized solve with artifacts and rate audit"),
-                        ("sweep", "iteration counts over a parameter grid"),
-                        ("protocol", "the app's iteration-count table"),
-                        ("gen", "write a problem instance file")):
-        sp = sub.add_parser(name, help=descr)
-        for key in _TYPES:
+    for name, (_, descr, settings) in COMMANDS.items():
+        sp = sub.add_parser(name, help=descr, allow_abbrev=False)  # else --alpha means --alpha-grid
+        for key in [key for key in _TYPES if key in settings]:
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
                             choices=_CHOICES.get(key))
         sp.add_argument("--config")
@@ -473,10 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    commands = {"run": cmd_run, "sweep": cmd_sweep, "protocol": cmd_protocol, "gen": cmd_gen}
     try:
         cfg = resolve_config(args)
-        return commands[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except (ConfigError, UnconvergedReference, DivergenceError) as exc:
         what = "solve diverged: " if isinstance(exc, DivergenceError) else ""
         print(f"error: {what}{exc}", file=sys.stderr)

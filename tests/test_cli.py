@@ -158,15 +158,15 @@ def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command, jobs, cpus, main_thread", [
-    pytest.param("run", "1", 2, True, id="run-1-True"),
-    pytest.param("run", "2", 2, True, id="run-2-True"),
-    pytest.param("protocol", "2", 2, False, id="protocol-2-False"),
-    pytest.param("protocol", "8", 1, True, id="protocol-8-one-cpu-True")])
+    pytest.param("run", 1, 2, True, id="run-1-True"),
+    pytest.param("run", 2, 2, True, id="run-2-True"),
+    pytest.param("protocol", 2, 2, False, id="protocol-2-False"),
+    pytest.param("protocol", 8, 1, True, id="protocol-8-one-cpu-True")])
 def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, command, jobs,
                                                    cpus, main_thread):
     # a solve in a worker thread holds Ctrl-C off until it returns, so a
-    # single row never goes to the pool, whatever --jobs says; nor do the
-    # rows when the process may use one CPU, as fork starts every worker at once
+    # single row never goes to the pool, whatever the jobs setting says; nor do
+    # the rows when the process may use one CPU, as fork starts every worker at once
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     seen = []
@@ -177,7 +177,11 @@ def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, comman
         return solve(*args)
 
     monkeypatch.setattr(cli, "solve", recording_solve)
-    assert main([command, *BQP_SMALL, "--jobs", jobs, "--out", str(tmp_path / "out")]) == 0
+    # run takes no --jobs, so the jobs setting is set as a library caller would
+    cfg = resolve_config(build_parser().parse_args(
+        [command, *BQP_SMALL, "--out", str(tmp_path / "out")]))
+    cfg.jobs = jobs
+    assert cli.COMMANDS[command][0](cfg) == 0
     assert seen == [main_thread] * (1 if command == "run" else 7)
 
 
@@ -751,7 +755,7 @@ def test_config_file_merges_under_flags(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
-COMMANDS = ("run", "sweep", "protocol", "gen")
+COMMANDS = ("gen", "run", "sweep", "protocol")
 # one valid, non-default value per setting; the key set must track ExperimentConfig
 EVERY_SETTING = {"app": "sr", "n": 12, "k": 3, "sigma_a": 0.1, "sigma_b": 2.0,
                  "sigma": 1.5, "obs_frac": 0.5, "seed": 7, "param_mode": "manual",
@@ -759,25 +763,87 @@ EVERY_SETTING = {"app": "sr", "n": 12, "k": 3, "sigma_a": 0.1, "sigma_b": 2.0,
                  "opt_eps": 1e-9, "max_iters": 50, "ref_eps": 1e-9, "ref_max_iters": 60,
                  "out": "o", "jobs": 2, "alpha_grid": "1,2", "beta_grid": "0.5:2:3",
                  "instance": "i.json"}
+# the settings each command reads, which are its only flags and config keys
+GEN_SETTINGS = {"app", "n", "k", "sigma_a", "sigma_b", "sigma", "obs_frac", "seed", "instance",
+                "out"}
+STOP_SETTINGS = {"mse_eps", "opt_eps", "max_iters", "ref_eps", "ref_max_iters"}
+TAKES = {"gen": GEN_SETTINGS,
+         "run": GEN_SETTINGS | STOP_SETTINGS | {"param_mode", "alpha", "beta"},
+         "sweep": GEN_SETTINGS | STOP_SETTINGS | {"jobs", "alpha_grid", "beta_grid"},
+         "protocol": GEN_SETTINGS | STOP_SETTINGS | {"jobs"}}
+# what each app's generator reads; an instance file pins all of it
+GENERATOR = {"bqp": {"n", "k", "seed", "sigma_a", "sigma_b"},
+             "sr": {"n", "k", "seed", "sigma", "obs_frac"}}
+# the settings that let a setting be read on its own: the SR app for its
+# generator's, and manual mode with both weights for the mode and the weights
+READ_WITH = {"sigma": {"app": "sr"}, "obs_frac": {"app": "sr"},
+             **dict.fromkeys(["param_mode", "alpha", "beta"],
+                             {"param_mode": "manual", "alpha": 0.5, "beta": 2.0})}
 
 
-def test_every_setting_is_a_dashed_flag_of_every_command():
+def readable_settings(command):
+    """``EVERY_SETTING`` cut to what ``command`` reads, in one set per app and one beside a file.
+
+    The three sets together hold every setting the command reads.
+    """
+    cut = {"bqp": GENERATOR["sr"] - GENERATOR["bqp"] | {"instance"},
+           "sr": GENERATOR["bqp"] - GENERATOR["sr"] | {"instance"},
+           "file": GENERATOR["bqp"] | GENERATOR["sr"]}
+    for case, unread in cut.items():
+        settings = {name: value for name, value in EVERY_SETTING.items()
+                    if name in TAKES[command] - unread}
+        settings["app"] = "bqp" if case == "bqp" else "sr"
+        expected = ExperimentConfig(**settings)
+        expected.validate()  # the app's default n and k beside a file
+        yield settings, expected
+
+
+def test_every_setting_is_a_dashed_flag_of_the_commands_that_read_it():
     assert list(EVERY_SETTING) == [f.name for f in fields(ExperimentConfig)]
-    argv = [tok for name, value in EVERY_SETTING.items()
-            for tok in ("--" + name.replace("_", "-"), str(value))]
+    assert {command: set(row[2]) for command, row in cli.COMMANDS.items()} == TAKES
+    assert sum(map(len, TAKES.values())) == 62 and len(TAKES) * len(EVERY_SETTING) == 84
     for command in COMMANDS:
-        args = build_parser().parse_args([command, *argv])
-        assert resolve_config(args) == ExperimentConfig(**EVERY_SETTING)
+        for settings, expected in readable_settings(command):
+            argv = [tok for name, value in settings.items()
+                    for tok in ("--" + name.replace("_", "-"), str(value))]
+            assert resolve_config(build_parser().parse_args([command, *argv])) == expected
 
 
 @pytest.mark.parametrize("sep", ["_", "-"])
-def test_every_setting_is_a_config_key_of_every_command(tmp_path, sep):
+def test_every_setting_is_a_config_key_of_the_commands_that_read_it(tmp_path, sep):
     path = tmp_path / "all.cfg"
-    path.write_text("".join(f"{name.replace('_', sep)} = {value}\n"
-                            for name, value in EVERY_SETTING.items()))
     for command in COMMANDS:
+        for settings, expected in readable_settings(command):
+            path.write_text("".join(f"{name.replace('_', sep)} = {value}\n"
+                                    for name, value in settings.items()))
+            args = build_parser().parse_args([command, "--config", str(path)])
+            assert resolve_config(args) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", EVERY_SETTING)
+def test_a_command_takes_exactly_the_settings_it_reads(tmp_path, command, name):
+    # the flag, and the config key in both spellings, are taken exactly when
+    # the command reads the setting; sweep's --alpha is no abbreviated --alpha-grid
+    value = str(EVERY_SETTING[name])
+    argv = [command, "--" + name.replace("_", "-"), value]
+    if name in TAKES[command]:
+        assert getattr(build_parser().parse_args(argv), name) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+    settings = {**READ_WITH.get(name, {}), name: EVERY_SETTING[name]}
+    for sep in "_-":
+        path = tmp_path / f"{sep}.cfg"
+        path.write_text("".join(f"{key.replace('_', sep)} = {val}\n"
+                                for key, val in settings.items()))
         args = build_parser().parse_args([command, "--config", str(path)])
-        assert resolve_config(args) == ExperimentConfig(**EVERY_SETTING)
+        if name in TAKES[command]:
+            assert getattr(resolve_config(args), name) == EVERY_SETTING[name]
+        else:
+            with pytest.raises(cli.ConfigError, match=f"{command} does not take: .*'{name}'"):
+                resolve_config(args)
 
 
 # each float setting fails on nan and inf, each int setting below its floor
@@ -790,12 +856,58 @@ OUT_OF_RANGE = ([(name, bad) for name, value in EVERY_SETTING.items()
 
 @pytest.mark.parametrize("name, value", OUT_OF_RANGE)
 def test_out_of_range_settings_exit_one(tmp_path, capsys, name, value):
-    out = tmp_path / "inst.json"
-    code = main(["gen", "--app", "bqp", "--n", "4", "--k", "5",
+    # through the first command that reads the setting, on an app that reads it
+    command = next(command for command in COMMANDS if name in TAKES[command])
+    app = "sr" if name in GENERATOR["sr"] - GENERATOR["bqp"] else "bqp"
+    out = tmp_path / "out"
+    code = main([command, "--app", app, "--n", "4", "--k", "3",
                  "--" + name.replace("_", "-"), value, "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} must ") and captured.out == ""
+    assert not out.exists()
+
+
+# (command, argv after it, config file text or None, what stderr names)
+UNREAD_SETTINGS = [
+    ("run", ["--app", "bqp", "--instance", "{inst}", "--seed", "9", "--n", "30",
+             "--sigma-a", "7"], None, "the --instance file pins n, seed, sigma_a"),
+    ("gen", ["--app", "sr", "--instance", "{inst}"], "seed = 9\n",
+     "the --instance file pins seed"),
+    ("gen", ["--app", "sr", "--sigma-a", "9", "--sigma-b", "9"], None,
+     "app sr does not read sigma_a, sigma_b"),
+    ("protocol", ["--app", "bqp", "--n", "6", "--k", "8"], "obs-frac = 0.5\n",
+     "app bqp does not read obs_frac"),
+    ("run", [*BQP_SMALL, "--alpha", "1"], None, "param-mode estimate does not read alpha"),
+    ("run", [*BQP_SMALL, "--beta", "2"], "param_mode = identity\n",
+     "param-mode identity does not read beta"),
+    ("sweep", [*BQP_SMALL, "--alpha-grid", "1"], "seed = 1\nn = 6\nseed = 3\n",
+     ".cfg:3: seed is already set on line 1"),
+    ("gen", BQP_SMALL, "jobs = 2\n", "config keys that gen does not take: ['jobs']"),
+]
+
+
+@pytest.mark.parametrize("command, argv, config, message", UNREAD_SETTINGS,
+                         ids=["instance-flags", "instance-config-key", "sr-sigma-a",
+                              "bqp-obs-frac", "estimate-alpha", "identity-beta",
+                              "repeated-key", "key-gen-does-not-take"])
+def test_settings_left_unread_exit_one_before_any_instance(tmp_path, capsys, monkeypatch,
+                                                           command, argv, config, message):
+    def never(*args, **kwargs):
+        raise AssertionError("an instance or a reference for a refused setting")
+
+    # refused on the settings alone: no instance is generated or loaded, no reference solved
+    for name in ("gen_bqp", "gen_sr", "load_instance", "reference_solve"):
+        monkeypatch.setattr(cli, name, never)
+    argv = [tok.format(inst=tmp_path / "inst.json") for tok in argv]
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "exp.cfg")]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()
 
 
