@@ -4,9 +4,10 @@ Subcommands: ``run`` (one parametrized solve with trace, summary and
 reference artifacts; the summary holds the trace's decay-bound audit),
 ``sweep`` (iteration counts over a parameter grid), ``protocol`` (the app's
 iteration-count table: identity, a-priori estimates and reference-based
-optima), ``gen`` (instance generation to a reusable file). Every solve is
-DRS from a zero governing iterate; the equivalent ADMM and primal-dual forms
-are library API in ``splitting``. Configuration comes from flat key=value
+optima), ``gen`` (instance generation to a reusable file). Every row is
+solved by DRS from a zero governing iterate, and the reference by DRS from an
+Anderson-accelerated start; the equivalent ADMM and primal-dual forms are
+library API in ``splitting``. Configuration comes from flat key=value
 files overridden by command-line flags, so a run is fully determined by its
 flags and files.
 """
@@ -483,11 +484,25 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses a flag it does not take under its own usage line.
+
+    argparse otherwise leaves such a flag to the top-level parser, whose usage
+    line names no flag of the subcommand.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="proxsplit",
                                      description="Parametrized splitting experiments "
                                                  "on block-structured SDPs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (_, descr, settings) in COMMANDS.items():
         sp = sub.add_parser(name, help=descr, allow_abbrev=False)  # else --alpha means --alpha-grid
         for key in [key for key in _TYPES if key in settings]:

@@ -25,11 +25,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product ``Re trace(a^H b)``."""
-    return float(np.real(np.vdot(a, b)))
-
-
 def frob_norm(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))

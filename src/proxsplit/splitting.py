@@ -5,7 +5,9 @@ Douglas-Rachford recursion on the governing sequence, an ADMM form, a
 primal-dual form, and a primal-dual variant with explicit feasibility
 iterate. Each is a short step generator over one shared run loop, which owns
 guarding, residuals, the trace and stopping. Under matched initializations
-they generate the same governing sequence up to roundoff.
+they generate the same governing sequence up to roundoff. A fifth generator
+over the same loop, ``run_drs_anderson``, evaluates the DRS map at Anderson
+extrapolations instead: it finds a warm start for ``run_drs``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,17 @@ from .params import OperatorParam
 from .prox import ProxPair
 
 DIVERGENCE_LIMIT = 1e12
+
+#: ``run_drs_anderson``'s safeguarded type-II Anderson acceleration (Walker &
+#: Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim.
+#: 2020): how many image and residual differences it keeps, the shift of the
+#: Gram diagonal relative to its largest entry, and the factor over the least
+#: fixed-point residual seen above which an extrapolated point is dropped.
+#: Chosen on the BQP n=40/k=50 and SR n=50/k=10 references, where they cut
+#: the iterations 2 to 3.5 times.
+ANDERSON_MEMORY = 10
+ANDERSON_SHIFT = 1e-10
+ANDERSON_SAFEGUARD = 1.5
 
 
 class DivergenceError(RuntimeError):
@@ -136,34 +149,108 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
     return SplitState(x=x, z=z, lam=lam, psi=psi), trace
 
 
-def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
-            psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
-    """Two-point recursion on the governing sequence.
+def _drs_map(pair: ProxPair, param: OperatorParam, psi: np.ndarray):
+    """The DRS map at governing iterate ``psi``: ``(x, z, sz, image)`` with ``sz = S z``.
 
-    Each iteration evaluates the g-prox at the current governing iterate,
-    reflects, evaluates the f-prox and averages back.
+    It evaluates the g-prox at ``psi``, reflects, evaluates the f-prox and
+    averages back into the image.
     """
+    z = pair.g_prox(param, psi)
+    sz = param.apply(z)
+    # in place only on the arrays allocated here: param.apply may return its
+    # argument, and psi is the caller's iterate
+    reflected = 2.0 * sz
+    reflected -= psi
+    x = pair.f_prox(param, reflected)
+    image = psi + param.apply(x)  # the same sum as param.apply(x) + psi
+    image -= sz
+    return x, z, sz, image
 
-    def steps(psi):
-        while True:
-            z = pair.g_prox(param, psi)
-            sz = param.apply(z)
-            # in place only on the arrays allocated here: param.apply may return its
-            # argument, and psi is the caller's iterate
-            reflected = 2.0 * sz
-            reflected -= psi
-            x = pair.f_prox(param, reflected)
-            psi_next = psi + param.apply(x)  # the same sum as param.apply(x) + psi
-            psi_next -= sz
-            # only the terminal dual is kept: yield what it is made of
-            yield x, z, (psi, sz), psi_next
-            psi = psi_next
 
+def _drs_loop(steps, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
+              psi_hook) -> tuple[SplitState, ConvergenceTrace]:
+    """``_run_loop`` over the DRS step generator ``steps`` started at a copy of ``psi0``.
+
+    The steps yield each dual as its parts ``(psi, sz)``; only the terminal
+    one is built.
+    """
     psi = np.array(psi0, copy=True)
     state, trace = _run_loop(steps(psi), psi, stop, psi_hook)
     psi_last, sz = state.lam
     state.lam = param.adjoint(psi_last - sz)
     return state, trace
+
+
+def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
+            psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
+    """Two-point recursion on the governing sequence: each iterate is the last one's image."""
+
+    def steps(psi):
+        while True:
+            x, z, sz, psi_next = _drs_map(pair, param, psi)
+            # only the terminal dual is kept: yield what it is made of
+            yield x, z, (psi, sz), psi_next
+            psi = psi_next
+
+    return _drs_loop(steps, param, psi0, stop, psi_hook)
+
+
+def run_drs_anderson(pair: ProxPair, param: OperatorParam, psi0: np.ndarray,
+                     stop: StopRule) -> tuple[SplitState, ConvergenceTrace]:
+    """DRS map evaluations at Anderson extrapolations of the last images.
+
+    At each point it yields what ``run_drs`` yields there; the returned
+    state's ``psi`` is the last plain image, a start for ``run_drs``. The
+    next point minimizes the linearized fixed-point residual over the last
+    ``ANDERSON_MEMORY`` image and residual differences. A singular Gram
+    solve or a non-finite extrapolation falls back to the plain image. An
+    extrapolated point whose residual exceeds ``ANDERSON_SAFEGUARD`` times
+    the least seen is dropped: the run goes back to the last accepted plain
+    image and clears its memory.
+    """
+
+    def flat(a):  # real coordinates: their dot product is Re vdot
+        return a.reshape(-1).view(np.float64)
+
+    def steps(psi):
+        # ring buffers of the differences, and their Gram matrix, one row per push
+        d_image = np.zeros((ANDERSON_MEMORY, flat(psi).size))
+        d_resid = np.zeros_like(d_image)
+        gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        pushed = 0  # differences pushed since the start or the last restart
+        last = None  # the last accepted point's flat image and residual
+        least, extrapolated = np.inf, False
+        while True:
+            x, z, sz, image = _drs_map(pair, param, psi)
+            yield x, z, (psi, sz), image
+            f, g = flat(image), flat(psi - image)
+            res = np.sqrt(g @ g)
+            if extrapolated and res > ANDERSON_SAFEGUARD * least:
+                psi, pushed, last, extrapolated = accepted, 0, None, False
+                continue
+            least = min(least, res)
+            if last is not None:
+                slot = pushed % ANDERSON_MEMORY
+                np.subtract(f, last[0], out=d_image[slot])
+                np.subtract(g, last[1], out=d_resid[slot])
+                gram[slot] = gram[:, slot] = d_resid @ d_resid[slot]
+                pushed += 1
+            last, accepted, psi, extrapolated = (f, g), image, image, False
+            held = min(pushed, ANDERSON_MEMORY)
+            if not held:
+                continue
+            lhs = gram[:held, :held].copy()
+            lhs.flat[::held + 1] += ANDERSON_SHIFT * lhs.diagonal().max()
+            try:
+                weights = np.linalg.solve(lhs, d_resid[:held] @ g)
+            except np.linalg.LinAlgError:
+                continue
+            step = (weights @ d_image[:held]).view(image.dtype).reshape(image.shape)
+            point = image - step
+            if np.isfinite(point).all():
+                psi, extrapolated = point, True
+
+    return _drs_loop(steps, param, psi0, stop, None)
 
 
 def run_admm(pair: ProxPair, param: OperatorParam, z0: np.ndarray, lam0: np.ndarray,

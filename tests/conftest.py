@@ -5,10 +5,17 @@ super-resolution) are expensive, so they are built once per session and
 reused by every criterion that needs them.
 """
 
-import numpy as np
-import pytest
+import os
 
-from proxsplit import (
+# One BLAS thread, as in CI, where the bit pins were recorded, unless the
+# caller chose a count; OpenBLAS reads these only when numpy first loads it.
+if "OMP_NUM_THREADS" not in os.environ and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OMP_NUM_THREADS"] = os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from proxsplit import (  # noqa: E402
     StopRule,
     bqp_estimate,
     bqp_protocol_params,
@@ -20,7 +27,7 @@ from proxsplit import (
     sr_estimate,
     sr_protocol_params,
 )
-from proxsplit.tuning import SolutionPair
+from proxsplit.tuning import SolutionPair  # noqa: E402
 
 BQP_SEED = 0
 SR_SEED = 2

@@ -846,6 +846,22 @@ def test_a_command_takes_exactly_the_settings_it_reads(tmp_path, command, name):
                 resolve_config(args)
 
 
+@pytest.mark.parametrize("argv", [
+    ["protocol", *BQP_SMALL, "--param-mode", "manual"],
+    ["run", *BQP_SMALL, "--jobs", "2"],
+    ["sweep", "--alpha", "1"],
+    ["gen", "--ref-eps", "1e-9"],
+], ids=lambda argv: argv[0])
+def test_a_flag_the_command_does_not_take_is_refused_under_its_usage_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: proxsplit {argv[0]} [-h] [--app ")
+    assert err.endswith(f"proxsplit {argv[0]}: error: unrecognized arguments: "
+                        f"{' '.join(argv[-2:])}\n")
+
+
 # each float setting fails on nan and inf, each int setting below its floor
 OUT_OF_RANGE = ([(name, bad) for name, value in EVERY_SETTING.items()
                  if isinstance(value, float) for bad in ("nan", "inf")]

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from proxsplit import linalg
 from proxsplit.linalg import (
     eig_hermitian,
-    frob_inner,
     frob_norm,
     gaussian_sample,
     hermitian_part,
@@ -36,14 +35,6 @@ def test_hermitian_part_is_idempotent_and_hermitian():
     h = hermitian_part(a)
     np.testing.assert_allclose(h, h.conj().T)
     np.testing.assert_allclose(hermitian_part(h), h)
-
-
-def test_frob_inner_matches_trace_form():
-    a = rand_hermitian(5, complex_field=True)
-    b = rand_hermitian(5, complex_field=True)
-    expected = np.real(np.trace(a.conj().T @ b))
-    assert frob_inner(a, b) == pytest.approx(expected, rel=1e-12)
-    assert frob_norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-12)
 
 
 def test_eig_hermitian_reconstructs_and_sorts():
@@ -478,7 +469,7 @@ def test_toeplitz_adjoint_identity(n, seed):
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u[0] = u[0].real
     q = random_hermitian(n, rng, complex_field=True)
-    lhs = frob_inner(toeplitz_map(u), q)
+    lhs = float(np.vdot(toeplitz_map(u), q).real)
     rhs = np.real(np.vdot(u, toeplitz_adjoint(q)))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 

@@ -8,18 +8,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from proxsplit import linalg
-from proxsplit.linalg import frob_inner, random_hermitian, toeplitz_map
+from proxsplit import linalg, splitting
+from proxsplit.cli import estimate_param, protocol_params
+from proxsplit.linalg import random_hermitian, toeplitz_map
 from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
 from proxsplit.prox import FixedEntrySet, prox_linear_diag1, prox_linear_sr, prox_psd_indicator
 from proxsplit.splitting import StopRule, run_drs
-from proxsplit.tuning import (
-    SolutionPair,
-    bqp_estimate,
-    bqp_protocol_params,
-    sr_estimate,
-    sr_protocol_params,
-)
+from proxsplit.tuning import SolutionPair, bqp_estimate
 from proxsplit.problems import (
     BqpInstance,
     SrInstance,
@@ -356,7 +351,7 @@ def test_reference_solve_small_instance():
     # dual: exactly cone feasible by construction, orthogonal to the primal
     assert np.linalg.eigvalsh(ref.lam_ref).max() <= 1e-12
     scale = np.linalg.norm(ref.x_ref) * np.linalg.norm(ref.lam_ref)
-    assert abs(frob_inner(ref.x_ref, ref.lam_ref)) <= 1e-6 * scale
+    assert abs(float(np.vdot(ref.x_ref, ref.lam_ref).real)) <= 1e-6 * scale
 
 
 def test_reference_solve_reports_hitting_the_cap():
@@ -378,29 +373,90 @@ def test_bqp_multipliers_recover_diagonal_structure():
     resid = ref.lam_ref + inst.g_f - np.diag(mu)
     assert np.abs(resid).max() <= 1e-7
     # multipliers absorb the whole objective value on the primal solution
-    assert np.sum(mu) == pytest.approx(frob_inner(ref.x_ref, inst.g_f), rel=1e-6)
+    assert np.sum(mu) == pytest.approx(float(np.vdot(ref.x_ref, inst.g_f).real), rel=1e-6)
+
+
+def small_instance(app, seed):
+    """Instance, pair and a-priori joint parameter of BQP n=12/k=16 or SR n=16/k=3."""
+    inst = gen_bqp(12, 16, 0.05, 1.0, seed) if app == "bqp" else gen_sr(16, 3, 2.0, 0.8, seed)
+    return inst, build_prox_pair(inst), estimate_param(inst)
 
 
 def small_protocol(app, seed):
     """Pair, converged reference and protocol rows of BQP n=12/k=16 or SR n=16/k=3."""
-    if app == "bqp":
-        inst = gen_bqp(12, 16, 0.05, 1.0, seed)
-        estimate = bqp_estimate(inst.a, inst.b, inst.n)
-    else:
-        inst = gen_sr(16, 3, 2.0, 0.8, seed)
-        estimate = sr_estimate(inst.n, inst.k, inst.sigma, "joint")
-    pair = build_prox_pair(inst)
+    inst, pair, estimate = small_instance(app, seed)
     ref = reference_solve(pair, estimate)
     assert ref.converged, (app, seed)
-    if app == "bqp":
-        sol = SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape)
-        return pair, ref, bqp_protocol_params(inst.a, inst.b, inst.n, sol)
-    return pair, ref, sr_protocol_params(inst.n, inst.k, inst.sigma)
+    return pair, ref, protocol_params(inst, SolutionPair(ref.x_ref, ref.lam_ref, shape=inst.shape))
 
 
 def protocol_stop(ref, cap=100_000):
     """The protocol's stop: the first MSE <= 1e-6, no optimality shortcut."""
     return StopRule(max_iters=cap, opt_eps=None, mse_eps=1e-6, reference=ref.x_ref)
+
+
+def plain_reference(pair, param):
+    """The oracle: plain DRS from zero to ``reference_solve``'s defaults, and its dual.
+
+    Returns ``(x, lam, trace)``, the dual read off the final governing
+    iterate as ``reference_solve`` reads it.
+    """
+    state, trace = run_drs(pair, param, pair.zeros(), StopRule(max_iters=200_000, opt_eps=1e-10))
+    lam = param.adjoint(state.psi - param.apply(pair.g_prox(param, state.psi)))
+    return state.x, lam, trace
+
+
+def relative_gap(a, b):
+    """Frobenius distance of ``a`` from ``b``, relative to ``b``."""
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+def test_the_accelerated_reference_is_plain_drs_in_fewer_iterations(app):
+    # against plain DRS from zero on seeds 0 to 9: the same x, and the same count
+    # in every protocol row measured against each of the two references
+    report = []
+    for seed in range(10):
+        inst, pair, estimate = small_instance(app, seed)
+        ref = reference_solve(pair, estimate)
+        x_plain, lam_plain, plain = plain_reference(pair, estimate)
+        assert plain.converged, (app, seed)
+        assert ref.converged and ref.residual <= 1e-10, (app, seed, ref.residual)
+        assert ref.iterations < plain.iterations, (app, seed, ref.iterations, plain.iterations)
+        assert relative_gap(ref.x_ref, x_plain) <= 1e-9, (app, seed)
+        counts = []
+        for x, lam in ((ref.x_ref, ref.lam_ref), (x_plain, lam_plain)):
+            sol = SolutionPair(x, lam, shape=inst.shape)
+            stop = StopRule(max_iters=100_000, opt_eps=None, mse_eps=1e-6, reference=x)
+            counts.append({name: run_drs(pair, param, pair.zeros(), stop)[1].iterations
+                           for name, param in protocol_params(inst, sol).items()})
+        if counts[0] != counts[1]:
+            report.append((seed, counts))
+    assert report == []
+
+
+def _singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _not_a_number(a, b):
+    return np.full(len(b), np.nan)
+
+
+@pytest.mark.parametrize("gram_solve", [_singular, _not_a_number], ids=["singular", "nan"])
+def test_a_failed_extrapolation_falls_back_to_the_plain_image(monkeypatch, gram_solve):
+    # with every extrapolation refused, the accelerated phase is plain DRS bit for
+    # bit, and the final plain phase starts at the oracle's last image
+    _, pair, estimate = small_instance("bqp", 0)
+    x_plain, _, plain = plain_reference(pair, estimate)
+    calls = []
+    monkeypatch.setattr(splitting.np.linalg, "solve",
+                        lambda a, b: calls.append(a.shape) or gram_solve(a, b))
+    ref = reference_solve(pair, estimate)
+    assert len(calls) == plain.iterations - 2  # after every point but the first and last
+    assert ref.converged and ref.residual <= 1e-10
+    assert ref.iterations == plain.iterations + 1
+    assert relative_gap(ref.x_ref, x_plain) <= 1e-9
 
 
 #: Seeds 0 to 9 gave equal counts too, in about 25 s; two keep the test near 5 s.
@@ -456,3 +512,18 @@ def test_joint_parameters_win_on_every_seed(app):
                 if trace.converged:
                     losses.append((seed, winner, won.iterations, loser, trace.iterations))
     assert losses == []
+
+
+def test_a_dropped_extrapolation_goes_back_to_the_last_plain_image(monkeypatch):
+    # under a safeguard of 0 every extrapolated point is dropped: each third point is
+    # an extrapolation, and the others are plain DRS's iterates, bit for bit
+    _, pair, estimate = small_instance("bqp", 0)
+    x_plain, _, plain = plain_reference(pair, estimate)
+    monkeypatch.setattr(splitting, "ANDERSON_SAFEGUARD", 0.0)
+    points = splitting.run_drs_anderson(pair, estimate, pair.zeros(),
+                                        StopRule(max_iters=30, opt_eps=None))[1]
+    assert [r for k, r in enumerate(points.opt_residual) if k % 3 != 2] == \
+        plain.opt_residual[:20].tolist()
+    ref = reference_solve(pair, estimate)
+    assert ref.converged and ref.residual <= 1e-10
+    assert relative_gap(ref.x_ref, x_plain) <= 1e-9
