@@ -88,6 +88,7 @@ _DSTEMR = _capsule_function("dstemr", 2, 21)
 _DSTEDC = _capsule_function("dstedc", 1, 11)
 _DORMTR = _capsule_function("dormtr", 3, 13)
 _ZUNMTR = _capsule_function("zunmtr", 3, 13)
+_DPOSV = _capsule_function("dposv", 1, 8)
 
 def _args(*args) -> tuple:
     """A call's arguments: each character as it is, each array's or C scalar's address."""

@@ -248,7 +248,7 @@ def test_project_psd_accepts_finite_input_whose_entry_sum_overflows(dtype, monke
 def test_lapack_routines_are_gil_releasing_ctypes_functions():
     # CFUNCTYPE calls drop the GIL; PYFUNCTYPE (or an f2py wrapper) would hold it
     for fn in (linalg._DSYTD2, linalg._ZHETD2, linalg._DLARRC, linalg._DSTEMR, linalg._DSTEDC,
-               linalg._DORMTR, linalg._ZUNMTR):
+               linalg._DORMTR, linalg._ZUNMTR, linalg._DPOSV):
         assert isinstance(fn, ctypes._CFuncPtr)
         assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 

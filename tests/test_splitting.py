@@ -1,3 +1,4 @@
+import ctypes
 import sys
 import threading
 from functools import partial
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxsplit import linalg
+from proxsplit import linalg, splitting
+from proxsplit.cli import estimate_param
 from proxsplit.linalg import frob_norm, hermitian_part, project_toeplitz, random_hermitian
 from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
 from proxsplit.problems import build_prox_pair, gen_bqp, gen_sr
@@ -401,3 +403,82 @@ def test_concurrent_solves_on_one_pair_match_serial_runs(app):
     for (psi, x, lists), (psi_s, x_s, lists_s) in zip(results, serial):
         assert np.array_equal(psi, psi_s) and np.array_equal(x, x_s)
         assert lists == lists_s
+
+
+ANDERSON_POINTS = 60
+
+
+def anderson_run(app, monkeypatch):
+    """``run_drs_anderson``'s first ``ANDERSON_POINTS`` points on BQP n=12/k=16 or SR
+    n=16/k=3 under the a-priori parameter: each point's ``(psi, image)``, and each Gram
+    solve's ``(held, weights, info)`` as ``dposv`` left them."""
+    inst = gen_bqp(12, 16, 0.05, 1.0, 0) if app == "bqp" else gen_sr(16, 3, 2.0, 0.8, 0)
+    pair, param = build_prox_pair(inst), estimate_param(inst)
+    history, solves = [], []
+    drs_map, dposv = splitting._drs_map, splitting._DPOSV
+
+    def recording_map(pair, param, psi):
+        x, z, sz, image = drs_map(pair, param, psi)
+        history.append((psi.copy(), image.copy()))
+        return x, z, sz, image
+
+    def recording_solve(*args):  # dposv(uplo, n, nrhs, a, lda, b, ldb, info)
+        dposv(*args)
+        held = ctypes.c_int.from_address(args[1]).value
+        weights = np.array((ctypes.c_double * held).from_address(args[5]))
+        solves.append((held, weights, ctypes.c_int.from_address(args[7]).value))
+
+    monkeypatch.setattr(splitting, "_drs_map", recording_map)
+    monkeypatch.setattr(splitting, "_DPOSV", recording_solve)
+    splitting.run_drs_anderson(pair, param, pair.zeros(),
+                               StopRule(max_iters=ANDERSON_POINTS, opt_eps=None))
+    return history, solves
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+def test_anderson_weights_reach_the_least_squares_optimum(app, monkeypatch):
+    # each extrapolation's weights against a dense least-squares oracle of the shifted
+    # problem min |g - D w|^2 + shift |w|^2 over the residual differences D held in
+    # the ring; objectives, not weights, since D can be ill-conditioned
+    memory = splitting.ANDERSON_MEMORY
+    history, solves = anderson_run(app, monkeypatch)
+    assert len(history) == ANDERSON_POINTS
+    solves = iter(solves)
+    pushes, last, least, extrapolated, wrapped = [], None, np.inf, False, False
+    for (psi, image), (next_psi, _) in zip(history, history[1:]):
+        f, g = image.reshape(-1).view(np.float64), (psi - image).reshape(-1).view(np.float64)
+        res = np.linalg.norm(g)
+        if extrapolated and res > splitting.ANDERSON_SAFEGUARD * least:
+            assert np.array_equal(next_psi, accepted)
+            pushes, last, extrapolated = [], None, False
+            continue
+        least = min(least, res)
+        if last is not None:
+            pushes.append((f - last[0], g - last[1]))
+        last, accepted, extrapolated = (f, g), image, False
+        if not pushes:
+            assert np.array_equal(next_psi, image)
+            continue
+        # push p since the last restart sits in ring slot p mod memory
+        held, wrapped = min(len(pushes), memory), wrapped or len(pushes) > memory
+        ring = [None] * held
+        for p in range(len(pushes) - held, len(pushes)):
+            ring[p % memory] = pushes[p]
+        d_image, d_resid = (np.array(rows) for rows in zip(*ring))
+        got_held, weights, info = next(solves)
+        assert (got_held, info) == (held, 0)
+        shift = splitting.ANDERSON_SHIFT * max(row @ row for row in d_resid)
+        stacked = np.vstack((d_resid.T, np.sqrt(shift) * np.eye(held)))
+        oracle = np.linalg.lstsq(stacked, np.concatenate((g, np.zeros(held))), rcond=None)[0]
+
+        def objective(w):
+            r = g - d_resid.T @ w
+            return r @ r + shift * (w @ w)
+
+        assert objective(weights) == pytest.approx(objective(oracle), rel=1e-9)
+        step = (weights @ d_image).view(image.dtype).reshape(image.shape)
+        np.testing.assert_allclose(next_psi, image - step, rtol=0,
+                                   atol=1e-12 * np.abs(step).max())
+        extrapolated = True
+    assert next(solves, None) is None
+    assert wrapped
