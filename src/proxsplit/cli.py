@@ -124,10 +124,10 @@ _GENERATOR = {"bqp": {"n", "k", "seed", "sigma_a", "sigma_b"},
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; ``#`` starts a comment."""
+    """Flat ``key = value`` lines; ``#`` starts a comment, and a byte-order mark is skipped."""
     raw, seen = {}, {}  # each key's value and line number
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -174,7 +174,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     # with every value checked, refuse the given settings that the file, app or mode leaves unread
     given, generated = merged.keys(), _GENERATOR["bqp"] | _GENERATOR["sr"]
     unread, why = given & generated - _GENERATOR[cfg.app], f"app {cfg.app} does not read"
-    if cfg.instance:
+    if cfg.instance is not None:
         unread, why = given & generated, "the --instance file pins"
     if not unread and cfg.param_mode != "manual":
         unread, why = given & {"alpha", "beta"}, f"param-mode {cfg.param_mode} does not read"
@@ -184,7 +184,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def make_instance(cfg: ExperimentConfig):
-    if cfg.instance:
+    if cfg.instance is not None:
         try:
             inst = load_instance(cfg.instance)
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -399,16 +399,16 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """``lo:hi:count`` is log-spaced; a comma list is taken verbatim."""
+    """``lo:hi:count`` is log-spaced with ends exactly ``lo`` and ``hi``; a comma list is verbatim."""
     try:
         if ":" in spec:
             lo_s, hi_s, count_s = spec.split(":")
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
             if not 0.0 < lo <= hi < np.inf or count < 1:
                 raise ValueError
-            if count == 1:
-                return np.array([lo])
-            return np.logspace(np.log10(lo), np.log10(hi), count)
+            vals = np.logspace(np.log10(lo), np.log10(hi), count)
+            vals[-1], vals[0] = hi, lo  # logspace can miss them by an ulp; one point is lo
+            return vals
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
         if vals.size == 0 or not np.all((vals > 0) & (vals < np.inf)):
             raise ValueError
@@ -420,8 +420,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     if cfg.alpha_grid is None and cfg.beta_grid is None:
         raise ConfigError("sweep needs --alpha-grid and/or --beta-grid")
-    alphas = _parse_grid(cfg.alpha_grid) if cfg.alpha_grid else np.array([1.0])
-    betas = _parse_grid(cfg.beta_grid) if cfg.beta_grid else np.array([1.0])
+    alphas = np.array([1.0]) if cfg.alpha_grid is None else _parse_grid(cfg.alpha_grid)
+    betas = np.array([1.0]) if cfg.beta_grid is None else _parse_grid(cfg.beta_grid)
     inst = make_instance(cfg)
     cells = [(float(a), float(b)) for a in alphas for b in betas]
     params = [_hadamard(a, b, inst.shape) for a, b in cells]  # refused before the reference

@@ -101,9 +101,6 @@ class Scalar(OperatorParam):
     def to_config(self):
         return {"kind": "scalar", "alpha": self.alpha}
 
-    def __repr__(self):
-        return f"Scalar({self.alpha!r})"
-
 
 @dataclass(frozen=True, eq=False)
 class SdpHadamard(OperatorParam):
@@ -161,7 +158,7 @@ class SdpHadamard(OperatorParam):
                 "N": self.shape.n, "K": self.shape.k}
 
 
-class _AdjointInverse(OperatorParam):
+class AdjointInverse(OperatorParam):
     """View of another parameter acting as its adjoint-inverse."""
 
     def __init__(self, base: OperatorParam):
@@ -181,11 +178,6 @@ class _AdjointInverse(OperatorParam):
 
     def adjoint_inverse(self, v):
         return self.base.apply(v)
-
-
-def adjoint_inverse_param(param: OperatorParam) -> OperatorParam:
-    """Parameter view computing the adjoint-inverse action of ``param``."""
-    return _AdjointInverse(param)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import frob_norm, project_nsd, project_psd, project_toeplitz
-from .params import OperatorParam, adjoint_inverse_param
+from .params import AdjointInverse, OperatorParam
 
 ProxFn = Callable[[OperatorParam, np.ndarray], np.ndarray]
 #: ``param -> param.gram_inverse(g)`` for a linear objective matrix ``g``
@@ -150,6 +150,6 @@ def moreau_residual(param: OperatorParam, f_prox: ProxFn, fstar_prox: ProxFn,
     conjugate's prox under the adjoint-inverse parameter; returns the norm of
     the reconstruction error, which is zero for a correct conjugate pair.
     """
-    w = adjoint_inverse_param(param)
+    w = AdjointInverse(param)
     rec = param.apply(f_prox(param, v)) + w.apply(fstar_prox(w, v))
     return frob_norm(np.asarray(v) - rec)

@@ -144,7 +144,7 @@ def test_sweep_names_its_capped_cells_and_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "protocol"])
-def test_sweep_thread_count_does_not_change_output(tmp_path, capsys, command):
+def test_sweep_worker_count_does_not_change_output(tmp_path, capsys, command):
     args = [command, *BQP_SMALL]
     if command == "sweep":
         args += ["--alpha-grid", "0.3:3:3", "--beta-grid", "0.5,2"]
@@ -185,7 +185,7 @@ def test_serial_rows_are_solved_in_the_main_thread(tmp_path, monkeypatch, comman
     assert seen == [main_thread] * (1 if command == "run" else 7)
 
 
-def test_ctrl_c_stops_threaded_rows_at_once(tmp_path):
+def test_ctrl_c_stops_worker_rows_at_once(tmp_path):
     # the SR seed-2 identity row alone runs 71 783 iterations, about a minute;
     # the interrupt must stop the running rows, not wait for them
     out = tmp_path / "out"
@@ -619,6 +619,14 @@ def test_unreadable_config_file_exits_one(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # as editors that save "UTF-8 with BOM" write it
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfapp = sr\nn = 12\n")
+    cfg = resolve_config(build_parser().parse_args(["gen", "--config", str(path)]))
+    assert (cfg.app, cfg.n) == ("sr", 12)
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "protocol"])
 def test_unconverged_reference_exits_two(tmp_path, capsys, command):
     out = tmp_path / command
@@ -900,13 +908,14 @@ UNREAD_SETTINGS = [
     ("sweep", [*BQP_SMALL, "--alpha-grid", "1"], "seed = 1\nn = 6\nseed = 3\n",
      ".cfg:3: seed is already set on line 1"),
     ("gen", BQP_SMALL, "jobs = 2\n", "config keys that gen does not take: ['jobs']"),
+    ("gen", BQP_SMALL, "n = 6\nseed 5\n", ".cfg:2: expected 'key = value'"),
 ]
 
 
 @pytest.mark.parametrize("command, argv, config, message", UNREAD_SETTINGS,
                          ids=["instance-flags", "instance-config-key", "sr-sigma-a",
                               "bqp-obs-frac", "estimate-alpha", "identity-beta",
-                              "repeated-key", "key-gen-does-not-take"])
+                              "repeated-key", "key-gen-does-not-take", "line-without-equals"])
 def test_settings_left_unread_exit_one_before_any_instance(tmp_path, capsys, monkeypatch,
                                                            command, argv, config, message):
     def never(*args, **kwargs):
@@ -951,8 +960,38 @@ def test_weights_that_underflow_or_overflow_exit_one(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["0.3:3:1", "0.3:3:3", "0.02:5:9"])
+def test_log_grid_hits_both_ends_exactly(spec):
+    # np.logspace alone gives 0.29999999999999993, 0.020000000000000004 and 5.000000000000001
+    lo, hi, count = (float(tok) for tok in spec.split(":"))
+    inner = np.logspace(np.log10(lo), np.log10(hi), int(count))[1:-1]
+    assert cli._parse_grid(spec).tolist() == ([lo] if count == 1 else [lo, *inner, hi])
+
+
+@pytest.mark.parametrize("command, argv, config", [
+    ("gen", ["--instance", ""], None), ("gen", [], "instance =\n"),
+    ("run", ["--instance", ""], None), ("run", [], "instance =\n")],
+    ids=["gen-flag", "gen-config-key", "run-flag", "run-config-key"])
+def test_an_empty_instance_setting_is_refused_not_ignored(tmp_path, capsys, monkeypatch,
+                                                          command, argv, config):
+    def never(*args, **kwargs):
+        raise AssertionError("an instance generated or a reference solved for an empty setting")
+
+    for name in ("gen_bqp", "reference_solve"):
+        monkeypatch.setattr(cli, name, never)
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "exp.cfg")]
+    out = tmp_path / "out"
+    assert main([command, "--app", "bqp", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot load instance ") and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--alpha-grid", "--beta-grid"])
-@pytest.mark.parametrize("grid", ["nan", "1:inf:3", "nan:1:3", "0.5,inf"])
+@pytest.mark.parametrize("grid", ["nan", "1:inf:3", "nan:1:3", "0.5,inf",
+                                  pytest.param("", id="empty")])
 def test_non_finite_grid_exits_one(tmp_path, capsys, flag, grid):
     out = tmp_path / "sweep"
     assert main(["sweep", *BQP_SMALL, flag, grid, "--out", str(out)]) == 1

@@ -540,6 +540,17 @@ def test_gaussian_sample_is_seed_deterministic():
     assert np.std(gaussian_sample(400, 400, 2.0, 1)) == pytest.approx(2.0, rel=0.05)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: toeplitz_map(np.array([])), "non-empty vector"),
+    (lambda: toeplitz_gram_diag(0), "n must be positive"),
+    (lambda: gaussian_sample(2, 2, 0.0, 0), "sigma must be positive"),
+    (lambda: gaussian_sample(2, 2, -1.0, 0), "sigma must be positive"),
+], ids=["toeplitz-map-empty", "gram-diag-zero", "sample-sigma-zero", "sample-sigma-negative"])
+def test_empty_sizes_and_scales_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_random_hermitian_field_and_symmetry():
     r = random_hermitian(5, np.random.default_rng(3))
     c = random_hermitian(5, np.random.default_rng(3), complex_field=True)

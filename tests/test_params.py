@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from proxsplit.linalg import random_hermitian
 from proxsplit.params import (
+    AdjointInverse,
     BlockShape,
     Identity,
     OperatorParam,
     Scalar,
     SdpHadamard,
-    adjoint_inverse_param,
     definiteness_invariant_check,
 )
 
@@ -30,6 +30,16 @@ def all_params(n=4, k=1):
 
 def test_block_shape_size():
     assert BlockShape(5, 2).size == 7
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (1, 0)])
+def test_block_shape_refuses_an_empty_block(n, k):
+    with pytest.raises(ValueError, match="block sizes must be positive"):
+        BlockShape(n, k)
+
+
+def test_scalar_config_names_its_weight():
+    assert Scalar(2).to_config() == {"kind": "scalar", "alpha": 2.0}
 
 
 @pytest.mark.parametrize("param", all_params())
@@ -165,7 +175,7 @@ def test_scalar_invariance_tracks_sign():
 
 def test_adjoint_inverse_view_swaps_roles():
     p = SdpHadamard(0.5, 3.0, BlockShape(2, 1))
-    view = adjoint_inverse_param(p)
+    view = AdjointInverse(p)
     x = random_hermitian(3, RNG, complex_field=True)
     np.testing.assert_allclose(view.apply(x), p.adjoint_inverse(x), atol=1e-14)
     np.testing.assert_allclose(view.inverse(x), p.adjoint(x), atol=1e-14)

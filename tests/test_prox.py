@@ -229,6 +229,23 @@ def test_gate_rejects_non_entrywise_parameter():
         prox_linear_diag1(g, Opaque(), v)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda v: prox_nsd_indicator(Scalar(-1.0), v), ValueError, "definiteness-invariant"),
+    (lambda v: prox_linear_sr(v, FixedEntrySet([0], [1.0]), OperatorParam(), v), ValueError,
+     "entrywise parameter"),
+    # v is 5 x 5, so the vector block has rows 0..3
+    (lambda v: prox_linear_sr(v, FixedEntrySet([4], [1.0]), Identity(), v), IndexError,
+     "outside the vector block"),
+    (lambda v: prox_l1_orthogonal([1.0, 0.0], v[0, :2]), ValueError, "energies must be positive"),
+    (lambda v: prox_l1_orthogonal([1.0, -2.0], v[0, :2]), ValueError, "energies must be positive"),
+], ids=["nsd-negative-scalar", "sr-not-entrywise", "sr-index-at-block-size", "l1-zero-energy",
+        "l1-negative-energy"])
+def test_proxes_refuse_parameters_and_data_they_are_not_exact_for(call, error, match):
+    v = random_hermitian(5, RNG, complex_field=True)
+    with pytest.raises(error, match=match):
+        call(v)
+
+
 def test_fixed_entry_set_rejects_duplicates_and_mismatch():
     with pytest.raises(ValueError):
         FixedEntrySet(np.array([1, 1]), np.array([1.0, 2.0]))

@@ -105,6 +105,23 @@ def test_stop_rule_reason_priorities():
     assert mse_only.reason(0.0, 1.0) is None
 
 
+@pytest.mark.parametrize("make, match", [
+    (partial(StopRule, max_iters=0), "max_iters must be positive"),
+    (partial(StopRule, mse_eps=1e-6), "mse threshold needs a reference"),
+    (partial(sharp_rate_factor, 0.0, 3), "cocoercivity level"),
+    (partial(sharp_rate_factor, 1.5, 3), "cocoercivity level"),
+    (partial(sharp_rate_factor, 0.5, -1), "k must be nonnegative"),
+    (partial(RateBound, 0.0, 1.0), "cocoercivity level"),
+    (partial(RateBound, 1.5, 1.0), "cocoercivity level"),
+    (partial(RateBound, 1.0, -1.0), "anchor must be nonnegative"),
+], ids=["stop-no-iterations", "stop-mse-without-reference", "factor-level-zero",
+        "factor-level-above-one", "factor-negative-k", "bound-level-zero",
+        "bound-level-above-one", "bound-negative-anchor"])
+def test_stop_and_rate_settings_out_of_range_are_refused(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_run_drs_reaches_optimality_on_small_instance():
     pair = small_sdp_pair(6, seed=1)
     param = SdpHadamard(0.8, 1.3, BlockShape(6, 1))

@@ -55,6 +55,12 @@ def test_solution_pair_shape_mismatch_raises():
         SolutionPair(np.ones((2, 2)), np.ones((3, 3)))
 
 
+def test_block_selection_needs_a_block_partition():
+    pair = random_pair()
+    with pytest.raises(ValueError, match="block selection needs a block partition"):
+        sdp_separate_choices(SolutionPair(pair.x_star, pair.lam_star))
+
+
 def test_optimal_scalar_beats_dense_grid():
     pair = random_pair(seed=5)
     a_star = optimal_scalar(pair)
