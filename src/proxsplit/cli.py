@@ -27,7 +27,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .params import Identity, OperatorParam, SdpHadamard
+from .params import Congruence, Identity, SdpHadamard
 from .problems import (BqpInstance, _encode_array, build_prox_pair, gen_bqp, gen_sr,
                        load_instance, reference_solve, save_instance)
 from .splitting import DivergenceError, RateBound, StopRule, rate_check, run_drs
@@ -102,6 +102,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} must be an integer >= {low}")
             elif not 0.0 < val < np.inf:
                 raise ConfigError(f"{name} must be finite and positive")
+        if not self.out:  # an empty path writes the artifacts into the working directory
+            raise ConfigError("out must name a path; it is empty")
         if self.obs_frac > 1.0:
             raise ConfigError("obs_frac must lie in (0, 1]")
         if self.app == "sr" and self.k > self.n:
@@ -209,14 +211,14 @@ def estimate_param(inst) -> SdpHadamard:
     return sr_estimate(inst.n, inst.k, inst.sigma, "joint")
 
 
-def protocol_params(inst, ref_pair: SolutionPair) -> dict[str, OperatorParam]:
+def protocol_params(inst, ref_pair: SolutionPair) -> dict[str, Congruence]:
     """The app's iteration-protocol rows in table order, the identity first."""
     if isinstance(inst, BqpInstance):
         return bqp_protocol_params(inst.a, inst.b, inst.n, ref_pair)
     return sr_protocol_params(inst.n, inst.k, inst.sigma)
 
 
-def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> OperatorParam:
+def make_param(cfg: ExperimentConfig, inst, ref_pair: SolutionPair) -> Congruence:
     """The parameter ``cfg.param_mode`` names, bar ``manual``, which ``cmd_run`` builds itself."""
     shape = inst.shape
     mode = cfg.param_mode

@@ -1,16 +1,20 @@
-"""Bijective step parameters for the extended proximal operators.
+"""Step parameters: signed diagonal congruences.
 
-A parameter is a bounded linear bijection with the four actions the solvers
-need: apply, adjoint, inverse, adjoint-inverse. All shipped variants are
-self-adjoint, so the adjoint actions default to the plain ones. Entrywise
-variants act as Hadamard multiplications and commute with diagonal and
-fixed-entry constraints, which is what makes the linear-term proxes exact.
+Every step parameter is ``X -> sign * M X M^H`` with a real diagonal
+``M = Diag(m)`` and ``sign = +1`` or ``-1``. It is held as its signed grid
+``sign * m m^T``, so each action is a Hadamard product or quotient. Such an
+action is self-adjoint, so the adjoint actions are the plain ones, and it acts
+per entry, so it commutes with the diagonal and fixed-entry constraints that
+make the linear-term proxes exact. A congruence maps the PSD cone onto itself,
+and its negative maps it onto the NSD cone, so the cone proxes stay metric
+projections pulled back through the parameter: the parameter need not be
+positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,43 +37,84 @@ class BlockShape:
         return self.n + self.k
 
 
-class OperatorParam:
-    """Base interface for step parameters."""
+class Congruence:
+    """The step parameter ``X -> sign * M X M^H`` for a real diagonal ``M = Diag(m)``.
 
-    #: acts per matrix entry (Hadamard-style), so it commutes with entry constraints
-    is_entrywise = False
-    #: preserves eigenvalue sign patterns, so it commutes with cone projections
-    is_definiteness_invariant = False
+    ``grid`` is ``sign * m m^T``: a float when ``M`` is a multiple of the
+    identity, else a real symmetric array of the iterate's shape. Its entries
+    and their reciprocals must be nonzero and finite, and its diagonal holds
+    one sign, which is ``sign``. The fields are read-only.
+    """
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    #: M is diagonal: the actions act per entry, so they commute with entry constraints
+    is_entrywise = True
+    _refusal = "a congruence's weights and their reciprocals must be nonzero and finite"
 
-    def adjoint(self, v: np.ndarray) -> np.ndarray:
-        # all shipped variants are self-adjoint
+    def __init__(self, grid):
+        g = np.array(grid, dtype=float)  # a private copy, made read-only below
+        if g.ndim not in (0, 2) or g.shape[::-1] != g.shape or not g.size:
+            raise ValueError("a congruence's grid is a float or a square array")
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.all((g != 0.0) & np.isfinite(g) & np.isfinite(1.0 / g)):
+                raise ValueError(self._refusal.format(self=self))
+        diag = np.diagonal(g) if g.ndim else g
+        if not (np.all(diag > 0.0) or np.all(diag < 0.0)):
+            raise ValueError("a congruence's grid holds one sign on its diagonal")
+        g.flags.writeable = False
+        # numpy divides a complex array by a real grid as by ``grid + 0j``, which
+        # multiplies by ``1 / grid``: the product with this copy has the same bits,
+        # barring the sign of a zero part, in a third of the time. A float grid
+        # has none, and its actions take any shape
+        recip = (1.0 / g).astype(complex) if g.ndim else None
+        self.__dict__.update(grid=g if g.ndim else float(g), sign=1 if diag.flat[0] > 0 else -1,
+                             _recip=recip)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # a pickle does not keep the grid read-only
+        self.__dict__.update(state)
+        np.asarray(self.grid).flags.writeable = False
+
+    def _check(self, v):
+        v = np.asarray(v)
+        if self._recip is not None and v.shape != self.grid.shape:
+            raise ValueError(f"expected matrix of shape {self.grid.shape}, got {v.shape}")
+        return v
+
+    def apply(self, v):
+        return self.grid * self._check(v)
+
+    def adjoint(self, v):
         return self.apply(v)
 
-    def inverse(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def inverse(self, v):
+        v = self._check(v)
+        if self._recip is not None and v.dtype.kind == "c":
+            return v * self._recip
+        # a real quotient is not the product with a rounded reciprocal
+        return v / self.grid
 
-    def adjoint_inverse(self, v: np.ndarray) -> np.ndarray:
+    def adjoint_inverse(self, v):
         return self.inverse(v)
 
-    def gram_inverse(self, v: np.ndarray) -> np.ndarray:
+    def gram_inverse(self, v):
         """Inverse of adjoint-compose-apply, i.e. the normal-map inverse."""
         return self.inverse(self.adjoint_inverse(v))
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
+
+def AdjointInverse(param: Congruence) -> Congruence:
+    """The parameter's adjoint-inverse: the congruence with the reciprocal grid."""
+    return Congruence(1.0 / param.grid)
 
 
-def _invertible(weight: float) -> bool:
-    """Whether a weight and its reciprocal are both nonzero and finite."""
-    return weight != 0.0 and math.isfinite(weight) and math.isfinite(1.0 / weight)
+class Identity(Congruence):
+    """``M = I``; its actions return their argument."""
 
-
-class Identity(OperatorParam):
-    is_entrywise = True
-    is_definiteness_invariant = True
+    def __init__(self):
+        super().__init__(1.0)
 
     def apply(self, v):
         return np.asarray(v)
@@ -81,103 +126,43 @@ class Identity(OperatorParam):
         return {"kind": "identity"}
 
 
-class Scalar(OperatorParam):
-    """Multiplication by a nonzero scalar."""
+class Scalar(Congruence):
+    """Multiplication by a nonzero scalar: ``M = sqrt(|alpha|) I`` with the sign of ``alpha``."""
 
-    is_entrywise = True
+    _refusal = "scalar parameter and its reciprocal must be nonzero and finite"
 
     def __init__(self, alpha: float):
-        self.alpha = float(alpha)
-        if not _invertible(self.alpha):
-            raise ValueError("scalar parameter and its reciprocal must be nonzero and finite")
-        self.is_definiteness_invariant = self.alpha > 0.0
-
-    def apply(self, v):
-        return self.alpha * np.asarray(v)
-
-    def inverse(self, v):
-        return np.asarray(v) / self.alpha
+        self.__dict__["alpha"] = float(alpha)
+        super().__init__(self.alpha)
 
     def to_config(self):
         return {"kind": "scalar", "alpha": self.alpha}
 
 
-@dataclass(frozen=True, eq=False)
-class SdpHadamard(OperatorParam):
+class SdpHadamard(Congruence):
     """Two-parameter Hadamard weighting adapted to a 2x2 block partition.
 
     The weight grid scales the leading block by ``alpha/beta``, the
     off-diagonal blocks by ``alpha`` and the trailing block by
-    ``alpha*beta``; it is self-adjoint, self-dual under inversion of both
-    parameters, and preserves matrix inertia (the grid is the congruence
-    ``X -> D X D`` with ``D = Diag(sqrt(alpha/beta) I_n, sqrt(alpha*beta) I_k)``).
+    ``alpha*beta``. It is self-dual under inversion of both parameters. With
+    ``sign`` the sign of ``alpha*beta``, it is the congruence of
+    ``M = Diag(sqrt(|alpha/beta|) I_n, sign(beta) sqrt(|alpha*beta|) I_k)``.
     """
 
-    alpha: float
-    beta: float
-    shape: BlockShape
-    _w: np.ndarray = field(init=False, repr=False, compare=False)
-    _w_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _refusal = ("alpha={self.alpha:g}, beta={self.beta:g}: the weights alpha/beta, alpha, "
+                "alpha*beta and their reciprocals must be nonzero and finite")
 
-    is_entrywise = True
-    is_definiteness_invariant = True
-
-    def __post_init__(self):
-        alpha, beta = float(self.alpha), float(self.beta)
-        weights = (alpha / beta if beta else 0.0, alpha, alpha * beta)
-        if not (alpha > 0.0 and beta > 0.0 and all(map(_invertible, weights))):
-            raise ValueError(f"alpha={alpha:g}, beta={beta:g}: alpha and beta must be positive and "
-                             "the weights alpha/beta, alpha, alpha*beta and their inverses finite")
-        n, size = self.shape.n, self.shape.size
-        w = np.full((size, size), alpha)
-        w[:n, :n], w[n:, n:] = weights[0], weights[2]
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_w_inv", (1.0 / w).astype(complex))
-
-    def _check(self, v):
-        v = np.asarray(v)
-        if v.shape != self._w.shape:
-            raise ValueError(f"expected matrix of shape {self._w.shape}, got {v.shape}")
-        return v
-
-    def apply(self, v):
-        return self._w * self._check(v)
-
-    def inverse(self, v):
-        v = self._check(v)
-        if v.dtype.kind == "c":
-            # numpy divides by a real weight as a complex number, and its complex
-            # division by ``w + 0j`` multiplies by ``1 / w``: the product below has
-            # the same bits, barring the sign of a zero part, in a third of the time
-            return v * self._w_inv
-        # a real quotient is not the product with a rounded reciprocal
-        return v / self._w
+    def __init__(self, alpha: float, beta: float, shape: BlockShape):
+        self.__dict__.update(alpha=float(alpha), beta=float(beta), shape=shape)
+        n, size = shape.n, shape.size
+        w = np.full((size, size), self.alpha)
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            w[:n, :n], w[n:, n:] = np.float64(self.alpha) / self.beta, self.alpha * self.beta
+        super().__init__(w)
 
     def to_config(self):
         return {"kind": "sdp-hadamard", "alpha": self.alpha, "beta": self.beta,
                 "N": self.shape.n, "K": self.shape.k}
-
-
-class AdjointInverse(OperatorParam):
-    """View of another parameter acting as its adjoint-inverse."""
-
-    def __init__(self, base: OperatorParam):
-        self.base = base
-        self.is_entrywise = base.is_entrywise
-        # the inverse of an inertia-preserving bijection preserves inertia
-        self.is_definiteness_invariant = base.is_definiteness_invariant
-
-    def apply(self, v):
-        return self.base.adjoint_inverse(v)
-
-    def adjoint(self, v):
-        return self.base.inverse(v)
-
-    def inverse(self, v):
-        return self.base.adjoint(v)
-
-    def adjoint_inverse(self, v):
-        return self.base.apply(v)
 
 
 @dataclass
@@ -192,12 +177,13 @@ class InertiaReport:
 
 def definiteness_invariant_check(param: SdpHadamard, trials: int = 1000, seed=0,
                                  complex_field: bool = False) -> InertiaReport:
-    """Empirical inertia-preservation check for a block-Hadamard parameter.
+    """Empirical inertia check for a block-Hadamard parameter.
 
     Draws random Hermitian inputs of mixed definiteness and compares the
     counts of positive and negative eigenvalues before and after
-    ``param.apply``, with a cutoff of 1e-9 scaled by the input norm.
-    Returns the first counterexample found, if any.
+    ``param.apply``, with a cutoff of 1e-9 scaled by the input norm. A
+    parameter of sign -1 must swap the two counts. Returns the first
+    counterexample found, if any.
     """
     if not isinstance(param, SdpHadamard):
         raise ValueError("definiteness check targets the block-Hadamard parameter")
@@ -209,7 +195,7 @@ def definiteness_invariant_check(param: SdpHadamard, trials: int = 1000, seed=0,
         cut = 1e-9 * max(1.0, frob_norm(x))
         signs = [(np.sum(w > cut), np.sum(w < -cut))
                  for w in (np.linalg.eigvalsh(x), np.linalg.eigvalsh(param.apply(x)))]
-        if signs[0] != signs[1]:
+        if signs[0] != signs[1][::param.sign]:
             failures += 1
             if counterexample is None:
                 counterexample = x

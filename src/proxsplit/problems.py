@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import gaussian_sample
-from .params import BlockShape, OperatorParam
+from .params import BlockShape, Congruence
 from .prox import FixedEntrySet, ProxPair, _linear_diag1, _linear_sr, prox_psd_indicator
 from .splitting import StopRule, run_drs, run_drs_anderson
 
@@ -205,7 +205,7 @@ class _GramTerms:
         self.g, self.dtype = g, dtype
         self.terms = weakref.WeakKeyDictionary()
 
-    def __call__(self, param: OperatorParam) -> np.ndarray:
+    def __call__(self, param: Congruence) -> np.ndarray:
         term = self.terms.get(param)
         if term is None:
             term = param.gram_inverse(self.g)
@@ -255,7 +255,7 @@ class ReferenceSolution:
     param_config: dict
 
 
-def reference_solve(pair: ProxPair, param: OperatorParam, opt_eps: float = 1e-10,
+def reference_solve(pair: ProxPair, param: Congruence, opt_eps: float = 1e-10,
                     max_iters: int = 200_000) -> ReferenceSolution:
     """Drive the splitting to a tight optimality residual and report the pair.
 

@@ -1,10 +1,10 @@
 """Parametrized proximal evaluators.
 
 Each evaluator computes ``argmin_z f(z) + 0.5 * ||S z - v||^2`` for its
-objective ``f`` and a step parameter ``S``. The evaluators here are exact:
-cone indicators pull the metric projection back through a
-definiteness-invariant parameter, and the linear objectives separate per
-entry under entrywise parameters, so diagonal and fixed-entry constraints
+objective ``f`` and a step parameter ``S``, a signed diagonal congruence. The
+evaluators here are exact: cone indicators pull the metric projection onto the
+cone's image under ``S`` back through ``S``, and the linear objectives separate
+per entry under entrywise parameters, so diagonal and fixed-entry constraints
 reduce to overwrites.
 """
 
@@ -16,11 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .linalg import frob_norm, project_nsd, project_psd, project_toeplitz
-from .params import AdjointInverse, OperatorParam
+from .params import AdjointInverse, Congruence
 
-ProxFn = Callable[[OperatorParam, np.ndarray], np.ndarray]
+ProxFn = Callable[[Congruence, np.ndarray], np.ndarray]
 #: ``param -> param.gram_inverse(g)`` for a linear objective matrix ``g``
-_GramTerm = Callable[[OperatorParam], np.ndarray]
+_GramTerm = Callable[[Congruence], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -63,25 +63,22 @@ class ProxPair:
         return np.zeros((self.dim, self.dim), dtype=dtype)
 
 
-def prox_psd_indicator(param: OperatorParam, v: np.ndarray) -> np.ndarray:
-    """Prox of the PSD-cone indicator: cone projection pulled back through the parameter.
+def prox_psd_indicator(param: Congruence, v: np.ndarray) -> np.ndarray:
+    """Prox of the PSD-cone indicator: a cone projection pulled back through the parameter.
 
-    Requires a definiteness-invariant parameter; then
-    ``param.apply(result) == project_psd(v)`` and the result is PSD.
+    A congruence of sign +1 maps the PSD cone onto itself and one of sign -1
+    onto the NSD cone, so ``param.apply(result)`` is the projection of ``v``
+    onto that image, and the result is PSD.
     """
-    if not param.is_definiteness_invariant:
-        raise ValueError("PSD-indicator prox needs a definiteness-invariant parameter")
-    return param.inverse(project_psd(v))
+    return param.inverse(project_psd(v) if param.sign > 0 else project_nsd(v))
 
 
-def prox_nsd_indicator(param: OperatorParam, v: np.ndarray) -> np.ndarray:
+def prox_nsd_indicator(param: Congruence, v: np.ndarray) -> np.ndarray:
     """Prox of the NSD-cone indicator (conjugate partner of the PSD indicator)."""
-    if not param.is_definiteness_invariant:
-        raise ValueError("NSD-indicator prox needs a definiteness-invariant parameter")
-    return param.inverse(project_nsd(v))
+    return param.inverse(project_nsd(v) if param.sign > 0 else project_psd(v))
 
 
-def prox_linear_diag1(g: np.ndarray, param: OperatorParam, v: np.ndarray) -> np.ndarray:
+def prox_linear_diag1(g: np.ndarray, param: Congruence, v: np.ndarray) -> np.ndarray:
     """Prox of a linear objective restricted to Hermitian matrices with unit diagonal.
 
     Exact for entrywise parameters: the quadratic separates per entry, so the
@@ -90,7 +87,7 @@ def prox_linear_diag1(g: np.ndarray, param: OperatorParam, v: np.ndarray) -> np.
     return _linear_diag1(lambda p: p.gram_inverse(g), param, v)
 
 
-def _linear_diag1(gram_term: _GramTerm, param: OperatorParam, v: np.ndarray) -> np.ndarray:
+def _linear_diag1(gram_term: _GramTerm, param: Congruence, v: np.ndarray) -> np.ndarray:
     """``prox_linear_diag1`` with the term ``param.gram_inverse(g)`` read from ``gram_term(param)``."""
     if not param.is_entrywise:
         raise ValueError("linear-term prox needs an entrywise parameter")
@@ -100,7 +97,7 @@ def _linear_diag1(gram_term: _GramTerm, param: OperatorParam, v: np.ndarray) -> 
     return x
 
 
-def prox_linear_sr(g: np.ndarray, observed: FixedEntrySet, param: OperatorParam,
+def prox_linear_sr(g: np.ndarray, observed: FixedEntrySet, param: Congruence,
                    v: np.ndarray) -> np.ndarray:
     """Prox of a linear objective over lifted spectral estimates.
 
@@ -112,7 +109,7 @@ def prox_linear_sr(g: np.ndarray, observed: FixedEntrySet, param: OperatorParam,
     return _linear_sr(lambda p: p.gram_inverse(g), observed, param, v)
 
 
-def _linear_sr(gram_term: _GramTerm, observed: FixedEntrySet, param: OperatorParam,
+def _linear_sr(gram_term: _GramTerm, observed: FixedEntrySet, param: Congruence,
                v: np.ndarray) -> np.ndarray:
     """``prox_linear_sr`` with the term ``param.gram_inverse(g)`` read from ``gram_term(param)``."""
     if not param.is_entrywise:
@@ -142,7 +139,7 @@ def prox_l1_orthogonal(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sign(u) * np.maximum(np.abs(u) - 1.0, 0.0) / d
 
 
-def moreau_residual(param: OperatorParam, f_prox: ProxFn, fstar_prox: ProxFn,
+def moreau_residual(param: Congruence, f_prox: ProxFn, fstar_prox: ProxFn,
                     v: np.ndarray) -> float:
     """Defect of the parametrized prox decomposition of ``v``.
 

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import _DPOSV, _args, frob_norm
-from .params import OperatorParam
+from .params import Congruence
 from .prox import ProxPair
 
 DIVERGENCE_LIMIT = 1e12
@@ -152,7 +152,7 @@ def _run_loop(steps, psi: np.ndarray, stop: StopRule,
     return SplitState(x=x, z=z, lam=lam, psi=psi), trace
 
 
-def _drs_map(pair: ProxPair, param: OperatorParam, psi: np.ndarray):
+def _drs_map(pair: ProxPair, param: Congruence, psi: np.ndarray):
     """The DRS map at governing iterate ``psi``: ``(x, z, sz, image)`` with ``sz = S z``.
 
     It evaluates the g-prox at ``psi``, reflects, evaluates the f-prox and
@@ -170,7 +170,7 @@ def _drs_map(pair: ProxPair, param: OperatorParam, psi: np.ndarray):
     return x, z, sz, image
 
 
-def _drs_loop(steps, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
+def _drs_loop(steps, param: Congruence, psi0: np.ndarray, stop: StopRule,
               psi_hook) -> tuple[SplitState, ConvergenceTrace]:
     """``_run_loop`` over the DRS step generator ``steps`` started at a copy of ``psi0``.
 
@@ -184,7 +184,7 @@ def _drs_loop(steps, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
     return state, trace
 
 
-def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRule,
+def run_drs(pair: ProxPair, param: Congruence, psi0: np.ndarray, stop: StopRule,
             psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
     """Two-point recursion on the governing sequence: each iterate is the last one's image."""
 
@@ -198,7 +198,7 @@ def run_drs(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, stop: StopRu
     return _drs_loop(steps, param, psi0, stop, psi_hook)
 
 
-def run_drs_anderson(pair: ProxPair, param: OperatorParam, psi0: np.ndarray,
+def run_drs_anderson(pair: ProxPair, param: Congruence, psi0: np.ndarray,
                      stop: StopRule) -> tuple[SplitState, ConvergenceTrace]:
     """DRS map evaluations at Anderson extrapolations of the last images.
 
@@ -272,7 +272,7 @@ def run_drs_anderson(pair: ProxPair, param: OperatorParam, psi0: np.ndarray,
     return _drs_loop(steps, param, psi0, stop, None)
 
 
-def run_admm(pair: ProxPair, param: OperatorParam, z0: np.ndarray, lam0: np.ndarray,
+def run_admm(pair: ProxPair, param: Congruence, z0: np.ndarray, lam0: np.ndarray,
              stop: StopRule, psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
     """Alternating-direction form with scaled dual updates."""
 
@@ -290,7 +290,7 @@ def run_admm(pair: ProxPair, param: OperatorParam, z0: np.ndarray, lam0: np.ndar
     return _run_loop(steps(z, lam), param.apply(z) + param.adjoint_inverse(lam), stop, psi_hook)
 
 
-def run_pdf(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, lam0: np.ndarray,
+def run_pdf(pair: ProxPair, param: Congruence, psi0: np.ndarray, lam0: np.ndarray,
             stop: StopRule, psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
     """Primal-dual form carrying the governing iterate explicitly."""
 
@@ -308,7 +308,7 @@ def run_pdf(pair: ProxPair, param: OperatorParam, psi0: np.ndarray, lam0: np.nda
     return _run_loop(steps(psi, lam, pair.g_prox(param, psi)), psi, stop, psi_hook)
 
 
-def run_pd(pair: ProxPair, param: OperatorParam, x0: np.ndarray, lam_prev: np.ndarray,
+def run_pd(pair: ProxPair, param: Congruence, x0: np.ndarray, lam_prev: np.ndarray,
            lam0: np.ndarray, stop: StopRule, psi_hook=None) -> tuple[SplitState, ConvergenceTrace]:
     """Primal-dual form on the primal iterate and two dual memories.
 
@@ -332,7 +332,7 @@ def run_pd(pair: ProxPair, param: OperatorParam, x0: np.ndarray, lam_prev: np.nd
     return _run_loop(steps(x0, lam_prev, lam, pair.g_prox(param, psi)), psi, stop, psi_hook)
 
 
-def matched_admm_init(pair: ProxPair, param: OperatorParam,
+def matched_admm_init(pair: ProxPair, param: Congruence,
                       psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ADMM start reproducing the governing sequence launched from ``psi0``."""
     z0 = pair.g_prox(param, psi0)
@@ -340,14 +340,14 @@ def matched_admm_init(pair: ProxPair, param: OperatorParam,
     return z0, lam0
 
 
-def matched_pdf_init(pair: ProxPair, param: OperatorParam,
+def matched_pdf_init(pair: ProxPair, param: Congruence,
                      psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feasibility-variant start reproducing the governing sequence from ``psi0``."""
     _, lam0 = matched_admm_init(pair, param, psi0)
     return np.asarray(psi0), lam0
 
 
-def matched_pd_init(pair: ProxPair, param: OperatorParam,
+def matched_pd_init(pair: ProxPair, param: Congruence,
                     psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primal-dual start reproducing the governing sequence from ``psi0``."""
     x0 = param.inverse(np.asarray(psi0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import frob_norm
-from .params import BlockShape, Identity, OperatorParam, SdpHadamard
+from .params import BlockShape, Congruence, Identity, SdpHadamard
 from .problems import bqp_objective
 
 
@@ -163,7 +163,7 @@ def sdp_joint_search(pair: SolutionPair, grid: GridSpec = GridSpec()) -> tuple[f
     return alpha, beta
 
 
-def acceleration_gain(param: OperatorParam, pair: SolutionPair) -> GainReport:
+def acceleration_gain(param: Congruence, pair: SolutionPair) -> GainReport:
     """Squared start distance under ``param`` relative to the identity."""
     num_v = param.apply(pair.x_star) + param.adjoint_inverse(pair.lam_star)
     den_v = pair.x_star + pair.lam_star
@@ -235,7 +235,7 @@ def sr_estimate(n: int, k: int, sigma: float, mode: str = "joint") -> SdpHadamar
 
 
 def bqp_protocol_params(a: np.ndarray, b: np.ndarray, n: int,
-                        sol: SolutionPair) -> dict[str, OperatorParam]:
+                        sol: SolutionPair) -> dict[str, Congruence]:
     """Rows of the Boolean least-squares iteration protocol, in table order.
 
     The identity, the a-priori estimates and the optima scored against the
@@ -256,7 +256,7 @@ def bqp_protocol_params(a: np.ndarray, b: np.ndarray, n: int,
     }
 
 
-def sr_protocol_params(n: int, k: int, sigma: float) -> dict[str, OperatorParam]:
+def sr_protocol_params(n: int, k: int, sigma: float) -> dict[str, Congruence]:
     """Rows of the spectral super-resolution iteration protocol, in table order."""
     return {
         "identity": Identity(),

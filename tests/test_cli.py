@@ -989,6 +989,29 @@ def test_an_empty_instance_setting_is_refused_not_ignored(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "sweep", "protocol"])
+@pytest.mark.parametrize("source", ["flag", "config-key"])
+def test_an_empty_out_setting_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         command, source):
+    def never(*args, **kwargs):
+        raise AssertionError("an instance generated or a reference solved for an empty out")
+
+    for name in ("gen_bqp", "reference_solve"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)  # where an empty out would put the artifacts
+    argv = [command, *BQP_SMALL, *(["--alpha-grid", "1"] if command == "sweep" else [])]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        (tmp_path / "exp.cfg").write_text("out =\n")
+        argv += ["--config", str(tmp_path / "exp.cfg")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out must name a path; it is empty\n" and captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == (
+        [] if source == "flag" else ["exp.cfg"])
+
+
 @pytest.mark.parametrize("flag", ["--alpha-grid", "--beta-grid"])
 @pytest.mark.parametrize("grid", ["nan", "1:inf:3", "nan:1:3", "0.5,inf",
                                   pytest.param("", id="empty")])

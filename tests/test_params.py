@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from proxsplit.params import (
     AdjointInverse,
     BlockShape,
     Identity,
-    OperatorParam,
     Scalar,
     SdpHadamard,
     definiteness_invariant_check,
@@ -25,6 +26,9 @@ def all_params(n=4, k=1):
         Identity(),
         Scalar(0.7),
         SdpHadamard(0.4, 2.5, shape),
+        Scalar(-0.7),
+        SdpHadamard(-0.4, 2.5, shape),
+        SdpHadamard(0.4, -2.5, shape),
     ]
 
 
@@ -120,11 +124,15 @@ def test_hadamard_shape_checked():
     with pytest.raises(ValueError):
         p.apply(np.zeros((3, 3)))
     # the last five: alpha/beta, alpha or alpha*beta, or a reciprocal, is 0 or inf
-    for alpha, beta in ((0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.nan),
+    for alpha, beta in ((0.0, 1.0), (np.nan, 1.0), (1.0, np.nan),
                         (np.inf, 1.0), (1.0, np.inf), (1e-200, 1e-200), (1e200, 1e200),
                         (1e200, 1e-200), (1e-200, 1e200), (1e-310, 1.0)):
         with pytest.raises(ValueError):
             SdpHadamard(alpha, beta, BlockShape(3, 1))
+    # a sign is no refusal: the grid's sign on its diagonal is that of alpha*beta
+    for alpha, beta, sign in ((1.0, -2.0, -1), (-1.0, 2.0, -1), (-1.0, -2.0, 1),
+                              (-1e-150, 1e-150, -1)):
+        assert SdpHadamard(alpha, beta, BlockShape(3, 1)).sign == sign
 
 
 def test_hadamard_accepts_extreme_weights_it_can_hold():
@@ -148,6 +156,20 @@ def test_definiteness_check_refuses_other_parameters():
             definiteness_invariant_check(param)
 
 
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("signs", [(-1, 1), (1, -1), (-1, -1)], ids=["-a,b", "a,-b", "-a,-b"])
+def test_definiteness_check_accepts_sign_flipped_hadamard(signs, complex_field):
+    # a congruence of sign -1 swaps the counts of positive and negative eigenvalues
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        alpha, beta = np.array(signs) * rng.uniform(0.05, 20.0, size=2)
+        p = SdpHadamard(alpha, beta, BlockShape(4, 1))
+        assert p.sign == signs[0] * signs[1]
+        rep = definiteness_invariant_check(p, trials=200, seed=int(rng.integers(1 << 30)),
+                                           complex_field=complex_field)
+        assert rep.passed and rep.failures == 0
+
+
 class _NonCongruence(SdpHadamard):
     """Weights ``[[1, 3], [3, 1]]``: no congruence, so they change some inertias."""
 
@@ -165,12 +187,25 @@ def test_inertia_check_flags_non_congruence_weights(seed, complex_field):
     assert rep.counterexample is not None
 
 
-def test_scalar_invariance_tracks_sign():
-    assert Scalar(2.0).is_definiteness_invariant
-    assert not Scalar(-2.0).is_definiteness_invariant
+def test_scalar_sign_tracks_its_weight():
+    assert Scalar(2.0).sign == 1 and Identity().sign == 1
+    assert Scalar(-2.0).sign == -1
     for alpha in (0.0, np.nan, np.inf, -np.inf, 1e-310, -1e-310):  # 1 / 1e-310 overflows
         with pytest.raises(ValueError):
             Scalar(alpha)
+
+
+def test_fields_are_read_only_also_in_a_pickled_copy():
+    for p in all_params():
+        for q in (p, pickle.loads(pickle.dumps(p))):
+            with pytest.raises(AttributeError):
+                q.sign = 1
+            with pytest.raises(AttributeError):
+                del q.grid
+            if np.ndim(q.grid):
+                assert not q.grid.flags.writeable
+    with pytest.raises(AttributeError):
+        SdpHadamard(1.0, 2.0, BlockShape(3, 1)).alpha = 3.0
 
 
 def test_adjoint_inverse_view_swaps_roles():
@@ -181,9 +216,3 @@ def test_adjoint_inverse_view_swaps_roles():
     np.testing.assert_allclose(view.inverse(x), p.adjoint(x), atol=1e-14)
     np.testing.assert_allclose(view.adjoint(x), p.inverse(x), atol=1e-14)
     np.testing.assert_allclose(view.adjoint_inverse(x), p.apply(x), atol=1e-14)
-
-
-def test_base_class_is_abstract_enough():
-    base = OperatorParam()
-    with pytest.raises(NotImplementedError):
-        base.apply(np.zeros((2, 2)))

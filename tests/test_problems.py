@@ -436,6 +436,26 @@ def test_the_accelerated_reference_is_plain_drs_in_fewer_iterations(app):
     assert report == []
 
 
+@pytest.mark.parametrize("app", ["bqp", "sr"])
+def test_a_sign_flipped_parameter_gives_the_same_reference(app):
+    # the flipped runs negate or reflect the governing iterates, Anderson phase
+    # included, so the count and the pair do not move. Exact zeros of the flipped
+    # iterates can take the other sign; on complex SR iterates of sign -1 the
+    # eigensolver's reflections then round differently
+    for seed in range(3):
+        inst, pair, estimate = small_instance(app, seed)
+        ref = reference_solve(pair, estimate)
+        for a, b in ((-1, 1), (1, -1), (-1, -1)):
+            param = SdpHadamard(a * estimate.alpha, b * estimate.beta, inst.shape)
+            flipped = reference_solve(pair, param)
+            assert flipped.converged and flipped.iterations == ref.iterations, (seed, a, b)
+            for got, want in ((flipped.x_ref, ref.x_ref), (flipped.lam_ref, ref.lam_ref)):
+                if app == "bqp" or param.sign > 0:
+                    assert np.array_equal(got, want), (seed, a, b)
+                else:
+                    assert relative_gap(got, want) <= 1e-12, (seed, a, b)
+
+
 def _singular(solve, args):
     # dposv(uplo, n, nrhs, a, lda, b, ldb, info) on a zero matrix: LAPACK reports info > 0
     n, lda = (ctypes.c_int.from_address(args[i]).value for i in (1, 4))

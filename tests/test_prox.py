@@ -3,11 +3,13 @@ import pytest
 
 from proxsplit.linalg import (
     frob_norm,
+    project_nsd,
+    project_psd,
     random_hermitian,
     toeplitz_adjoint,
     toeplitz_map,
 )
-from proxsplit.params import BlockShape, Identity, OperatorParam, Scalar, SdpHadamard
+from proxsplit.params import BlockShape, Identity, Scalar, SdpHadamard
 from proxsplit.prox import (
     FixedEntrySet,
     ProxPair,
@@ -28,7 +30,22 @@ def random_params(shape):
         Scalar(1.7),
         SdpHadamard(0.35, 2.2, shape),
         SdpHadamard(3.1, 0.6, shape),
+        Scalar(-1.7),
+        SdpHadamard(-0.35, 2.2, shape),
+        SdpHadamard(3.1, -0.6, shape),
+        SdpHadamard(-0.9, -1.4, shape),
     ]
+
+
+class _Opaque:
+    """A duck-typed parameter that does not act per entry."""
+
+    is_entrywise = False
+
+    def apply(self, v):
+        return np.asarray(v)
+
+    inverse = apply
 
 
 @pytest.mark.parametrize("param", random_params(BlockShape(4, 1)))
@@ -50,10 +67,22 @@ def test_nsd_prox_mirrors_psd_prox():
                                -prox_psd_indicator(param, -v), atol=1e-12)
 
 
-def test_cone_prox_requires_invariant_parameter():
-    v = random_hermitian(3, RNG)
-    with pytest.raises(ValueError):
-        prox_psd_indicator(Scalar(-1.0), v)
+@pytest.mark.parametrize("prox, cone_of_image, in_cone", [
+    (prox_psd_indicator, project_nsd, lambda w: w[0] >= -1e-10),
+    (prox_nsd_indicator, project_psd, lambda w: w[-1] <= 1e-10)], ids=["psd", "nsd"])
+def test_cone_proxes_under_a_negative_scalar_swap_the_cones(prox, cone_of_image, in_cone):
+    # -a maps the PSD cone onto the NSD cone, so the prox projects onto the other cone
+    for a in (1.0, 0.3, 2.5):
+        param = Scalar(-a)
+        v = random_hermitian(5, RNG, complex_field=True)
+        z = prox(param, v)
+        np.testing.assert_array_equal(z, param.inverse(cone_of_image(v)))
+        assert in_cone(np.linalg.eigvalsh(z))
+        best = frob_norm(param.apply(z) - v)
+        for _ in range(30):
+            b = RNG.standard_normal((5, 2)) + 1j * RNG.standard_normal((5, 2))
+            candidate = b @ b.conj().T if prox is prox_psd_indicator else -b @ b.conj().T
+            assert best <= frob_norm(param.apply(candidate) - v) + 1e-10
 
 
 def test_cone_prox_pulls_projection_through_parameter():
@@ -216,29 +245,21 @@ def test_scaled_prox_maps_are_firmly_nonexpansive(param):
 
 
 def test_gate_rejects_non_entrywise_parameter():
-    class Opaque(OperatorParam):
-        def apply(self, v):
-            return np.asarray(v)
-
-        def inverse(self, v):
-            return np.asarray(v)
-
     g = random_hermitian(4, RNG)
     v = random_hermitian(4, RNG)
     with pytest.raises(ValueError):
-        prox_linear_diag1(g, Opaque(), v)
+        prox_linear_diag1(g, _Opaque(), v)
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda v: prox_nsd_indicator(Scalar(-1.0), v), ValueError, "definiteness-invariant"),
-    (lambda v: prox_linear_sr(v, FixedEntrySet([0], [1.0]), OperatorParam(), v), ValueError,
+    (lambda v: prox_linear_sr(v, FixedEntrySet([0], [1.0]), _Opaque(), v), ValueError,
      "entrywise parameter"),
     # v is 5 x 5, so the vector block has rows 0..3
     (lambda v: prox_linear_sr(v, FixedEntrySet([4], [1.0]), Identity(), v), IndexError,
      "outside the vector block"),
     (lambda v: prox_l1_orthogonal([1.0, 0.0], v[0, :2]), ValueError, "energies must be positive"),
     (lambda v: prox_l1_orthogonal([1.0, -2.0], v[0, :2]), ValueError, "energies must be positive"),
-], ids=["nsd-negative-scalar", "sr-not-entrywise", "sr-index-at-block-size", "l1-zero-energy",
+], ids=["sr-not-entrywise", "sr-index-at-block-size", "l1-zero-energy",
         "l1-negative-energy"])
 def test_proxes_refuse_parameters_and_data_they_are_not_exact_for(call, error, match):
     v = random_hermitian(5, RNG, complex_field=True)

@@ -368,6 +368,42 @@ def test_drs_matches_the_plain_step_bit_for_bit(app, make_param, monkeypatch):
 
 
 @pytest.mark.parametrize("app", ["bqp", "sr"])
+@pytest.mark.parametrize("flip", ["scalar", (-1, 1), (1, -1), (-1, -1)],
+                         ids=["-a", "-alpha,beta", "alpha,-beta", "-alpha,-beta"])
+def test_a_sign_flipped_parameter_runs_the_same_iterations(app, flip):
+    # flipping signs gives sigma * J S(J X J) J, sigma = sign(alpha * beta) and
+    # J = Diag(I_n, sign(beta) I_k): the governing iterates become sigma * J psi J,
+    # and x, lam and every series of the trace keep their values. Exact zeros of the
+    # flipped iterates can take the other sign, and on complex iterates of sign -1
+    # the eigensolver then rounds differently: one SR iterate differs by 1e-35
+    inst, pair, *_ = small_app(app)
+    n, k = inst.shape.n, inst.shape.k
+    if flip == "scalar":
+        param, flipped, j = Scalar(0.7), Scalar(-0.7), np.ones(n + k)
+    else:
+        param = estimate_param(inst)
+        flipped = SdpHadamard(flip[0] * param.alpha, flip[1] * param.beta, inst.shape)
+        j = np.r_[np.ones(n), np.full(k, float(flip[1]))]
+    stop = StopRule(max_iters=20_000, opt_eps=1e-9, reference=pair.zeros())
+    runs = []
+    for p in (param, flipped):
+        psis = []
+        state, trace = run_drs(pair, p, pair.zeros(), stop, lambda it, psi: psis.append(psi.copy()))
+        runs.append((state, trace, psis))
+    (state, trace, psis), (state_f, trace_f, psis_f) = runs
+    assert trace.converged and trace_f.stop_reason == trace.stop_reason
+    for series in ("fp_residual_sq", "opt_residual", "mse"):
+        assert getattr(trace_f, series) == getattr(trace, series), series
+    assert np.array_equal(state_f.x, state.x) and np.array_equal(state_f.lam, state.lam)
+    assert len(psis_f) == len(psis) == trace.iterations
+    exact = app == "bqp" or flipped.sign > 0
+    for psi, psi_f in zip(psis, psis_f):
+        want = flipped.sign * j[:, None] * psi * j
+        assert np.array_equal(psi_f, want) or (
+            not exact and frob_norm(psi_f - want) <= 1e-15 * frob_norm(psi))
+
+
+@pytest.mark.parametrize("app", ["bqp", "sr"])
 def test_writing_into_a_writeable_g_between_runs_changes_the_next_run(app):
     inst, built, g, f_prox, f_plain, g_plain = small_app(app)
     pair = ProxPair(f_prox=f_prox, g_prox=built.g_prox, g_f=g, dim=built.dim,
