@@ -30,14 +30,21 @@ DIVERGENCE_LIMIT = 1e12
 #: ``run_drs_anderson``'s safeguarded type-II Anderson acceleration (Walker &
 #: Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim.
 #: 2020): how many image and residual differences it keeps, the shift of the
-#: Gram diagonal relative to its largest entry, and the factor over the least
-#: fixed-point residual seen above which an extrapolated point is dropped.
-#: Chosen on the BQP n=40/k=50 and SR n=50/k=10 references, where they cut
-#: the iterations 2 to 4 times; a memory of 20 against 10 also cuts the
-#: hardest SR draws several times over (16 459 to 2352 iterations on seed 0).
-ANDERSON_MEMORY = 20
+#: Gram diagonal relative to its largest entry, the factor over the least
+#: fixed-point residual seen above which an extrapolated point is dropped, and
+#: the factor over the image's norm above which a step is not taken. Chosen on
+#: the BQP n=40/k=50 and SR n=50/k=10 references, where they cut the
+#: iterations 3 to 5 times. The differences live on the Hermitian half of the
+#: iterate (2601 coordinates on SR against 5202), so a memory of 40 takes the
+#: bytes that 20 full differences took, and cuts the references a further
+#: fifth (SR seed 2: 276 to 216 iterations, seed 7: 109 022 to 17 811).
+#: Accepted steps stayed below 7 times the image's norm over the references
+#: and a 126-case parameter grid; the steps that pushed an iterate past
+#: ``DIVERGENCE_LIMIT`` there were 4e10 times it and more.
+ANDERSON_MEMORY = 40
 ANDERSON_SHIFT = 1e-10
 ANDERSON_SAFEGUARD = 1.5
+ANDERSON_REACH = 100.0
 
 
 class DivergenceError(RuntimeError):
@@ -198,6 +205,32 @@ def run_drs(pair: ProxPair, param: Congruence, psi0: np.ndarray, stop: StopRule,
     return _drs_loop(steps, param, psi0, stop, psi_hook)
 
 
+def _hermitian_half(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian half of a square array's shape and dtype, as coordinates.
+
+    Returns ``(index, weight, spread)``. ``index`` picks the real diagonal and
+    the strictly lower triangle (real and imaginary parts for complex input)
+    out of the array's flat ``float64`` view, in memory order. ``weight`` is 1
+    on the diagonal and sqrt(2) off it: the dot product of two weighted halves
+    is the Frobenius inner product ``Re vdot`` of the two Hermitian arrays.
+    ``spread`` unpacks a half ``h``: gathering ``[h, -h, 0]`` at it gives the
+    flat ``float64`` view of the Hermitian array.
+    """
+    size, parts = a.shape[0], 2 if a.dtype.kind == "c" else 1
+    half = np.zeros((size, size, parts), dtype=bool)
+    half[..., 0] = np.tri(size, dtype=bool)
+    half[..., 1:] = np.tri(size, k=-1, dtype=bool)[..., None]
+    index = np.flatnonzero(half)
+    diag = np.broadcast_to(np.eye(size, dtype=bool)[..., None], half.shape)[half]
+    # the diagonal's imaginary parts take the zero; the upper triangle mirrors the
+    # lower one, its imaginary parts negated
+    spread = np.full(half.shape, 2 * index.size)
+    spread[half] = np.arange(index.size)
+    upper = ~np.tri(size, dtype=bool)
+    spread[upper] = spread.transpose(1, 0, 2)[upper] + np.array([0, index.size])[:parts]
+    return index, np.where(diag, 1.0, math.sqrt(2.0)), spread.reshape(-1)
+
+
 def run_drs_anderson(pair: ProxPair, param: Congruence, psi0: np.ndarray,
                      stop: StopRule) -> tuple[SplitState, ConvergenceTrace]:
     """DRS map evaluations at Anderson extrapolations of the last images.
@@ -205,26 +238,42 @@ def run_drs_anderson(pair: ProxPair, param: Congruence, psi0: np.ndarray,
     At each point it yields what ``run_drs`` yields there; the returned
     state's ``psi`` is the last plain image, a start for ``run_drs``. The
     next point minimizes the linearized fixed-point residual over the last
-    ``ANDERSON_MEMORY`` image and residual differences. A Gram solve that
-    LAPACK reports failed (``info != 0``) or a non-finite extrapolation falls
-    back to the plain image. An extrapolated point whose residual exceeds
+    ``ANDERSON_MEMORY`` image and residual differences. DRS images of both
+    shipped pairs are exactly Hermitian, so it works on their Hermitian half
+    (``_hermitian_half``): residuals are weighted so that every Gram entry is
+    the full Frobenius inner product, and each point is unpacked into an
+    exactly Hermitian array. A Gram solve that LAPACK reports failed
+    (``info != 0``) falls back to the plain image; so does a step that is not
+    finite or longer than ``ANDERSON_REACH`` times the image, which also
+    clears the memory. An extrapolated point whose residual exceeds
     ``ANDERSON_SAFEGUARD`` times the least seen is dropped: the run goes back
     to the last accepted plain image and clears its memory.
     """
 
-    def flat(a):  # real coordinates: their dot product is Re vdot
-        return a.reshape(-1).view(np.float64)
-
     def steps(psi):
-        memory, size = ANDERSON_MEMORY, flat(psi).size
-        # ring buffers of the differences, and their Gram matrix, one row per push
+        memory = ANDERSON_MEMORY
+        index, weight, spread = _hermitian_half(psi)
+        size = index.size
+
+        def half_of(a, out):
+            return np.take(a.reshape(-1).view(np.float64), index, out=out)
+
+        # ring buffers of the image and weighted residual differences on the half, and
+        # the residuals' Gram matrix, one row per push
         d_image = np.zeros((memory, size))
         d_resid = np.zeros_like(d_image)
         gram = np.zeros((memory, memory))
-        # two residual buffers in turn, since the last accepted one is kept
-        resid, turn = np.zeros((2, size)), 0
+        # the half of the point's image and its weighted residual, and the last accepted
+        # ones, in turn: row ``turn`` takes the point's. A push overwrites the older
+        # residual with the pushed difference, so that one product over the ring gives
+        # the new Gram row and the right-hand side
+        images, resids, turn = np.zeros((2, size)), np.zeros((2, size)), 0
+        products = np.zeros((memory, 2))
         step = np.zeros(size)
-        step_view = step.view(psi.dtype).reshape(psi.shape)
+        psi_half = half_of(psi, np.zeros(size))
+        # the point's half, its negation and a zero, which ``spread`` unpacks
+        spread_from = np.zeros(2 * size + 1)
+        point_half, negated = spread_from[:size], spread_from[size:-1]
         # dposv solves lhs[:held, :held] w = rhs[:held] in place, leading dimension
         # memory; it reads the C-ordered lhs as its transpose, the same symmetric matrix
         lhs, rhs = np.zeros((memory, memory)), np.zeros(memory)
@@ -232,42 +281,50 @@ def run_drs_anderson(pair: ProxPair, param: Congruence, psi0: np.ndarray,
         solve_args = _args(b"L", held, one, lhs, lead, rhs, lead, info)
         lhs_diag = lhs.reshape(-1)[::memory + 1]
         pushed = 0  # differences pushed since the start or the last restart
-        last = None  # the last accepted point's flat image and residual
-        least, extrapolated = np.inf, False
+        has_last, least, extrapolated = False, np.inf, False
         while True:
             x, z, sz, image = _drs_map(pair, param, psi)
             yield x, z, (psi, sz), image
-            f = flat(image)
-            g = np.subtract(flat(psi), f, out=resid[turn])
+            f = half_of(image, images[turn])
+            g = np.subtract(psi_half, f, out=resids[turn])
+            g *= weight
             res = math.sqrt(g @ g)
             if extrapolated and res > ANDERSON_SAFEGUARD * least:
-                psi, pushed, last, extrapolated = accepted, 0, None, False
+                psi, psi_half = accepted, images[turn ^ 1]
+                pushed, has_last, extrapolated = 0, False, False
                 continue
             least = min(least, res)
-            if last is not None:
+            if has_last:
                 slot = pushed % memory
-                np.subtract(f, last[0], out=d_image[slot])
-                np.subtract(g, last[1], out=d_resid[slot])
-                gram[slot] = gram[:, slot] = d_resid @ d_resid[slot]
+                np.subtract(f, images[turn ^ 1], out=d_image[slot])
+                d_resid[slot] = np.subtract(g, resids[turn ^ 1], out=resids[turn ^ 1])
                 pushed += 1
-            last, accepted, psi, extrapolated = (f, g), image, image, False
+            has_last, accepted, psi, psi_half, extrapolated = True, image, image, f, False
             turn ^= 1
             k = held.value = min(pushed, memory)
             if not k:
                 continue
+            # the accepted residual is now row turn ^ 1, and the pushed difference row turn
+            both = np.matmul(d_resid[:k], resids.T, out=products[:k])
+            gram[slot, :k] = gram[:k, slot] = both[:, turn]
+            rhs[:k] = both[:, turn ^ 1]
             # dposv reads the leading k x k block only
             np.copyto(lhs, gram)
             lhs_diag += ANDERSON_SHIFT * gram.diagonal()[:k].max()
-            np.dot(d_resid[:k], g, out=rhs[:k])
             _DPOSV(*solve_args)
             if info.value != 0:
                 continue
             np.dot(rhs[:k], d_image[:k], out=step)
-            point = image - step_view
-            # a finite sum proves every entry finite; the entrywise test settles an
-            # overflowing one
-            if np.isfinite(point.sum()) or np.isfinite(point).all():
-                psi, extrapolated = point, True
+            # on the unweighted half, within a factor sqrt(2) of the full ratio; false
+            # for a step that is not finite too. The image passed the run loop's
+            # guard, so a step within the bound leaves the point finite
+            if not step @ step <= ANDERSON_REACH ** 2 * (f @ f):
+                pushed = 0
+                continue
+            np.subtract(f, step, out=point_half)
+            np.negative(point_half, out=negated)
+            point = np.take(spread_from, spread).view(image.dtype).reshape(image.shape)
+            psi, psi_half, extrapolated = point, point_half, True
 
     return _drs_loop(steps, param, psi0, stop, None)
 

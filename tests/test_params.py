@@ -92,6 +92,27 @@ def test_sdp_hadamard_inverse_is_bitwise_the_quotient():
     assert np.array_equal(SdpHadamard(0.3, 1.7, BlockShape(3, 1)).inverse(r), r / w)
 
 
+def test_sdp_hadamard_apply_is_bitwise_the_real_grid_product():
+    # complex input takes a multiplication by a complex copy of the grid, which must
+    # give the bits of the product with the real grid: signed zeros, infinite and
+    # non-Hermitian input included
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        alpha, beta = 10.0 ** rng.uniform(-3, 3, size=2) * rng.choice([-1.0, 1.0], size=2)
+        p, w = SdpHadamard(alpha, beta, BlockShape(n, k)), hadamard_grid(alpha, beta, n, k)
+        v = (rng.standard_normal((n + k, n + k)) + 1j * rng.standard_normal((n + k, n + k))) \
+            * 10.0 ** rng.uniform(-200, 200)
+        parts = v.view(np.float64)
+        parts[rng.random(parts.shape) < 0.1] = 0.0
+        parts[rng.random(parts.shape) < 0.1] = -0.0
+        parts[rng.random(parts.shape) < 0.02] = np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf in a complex product
+            for action in (p.apply, p.adjoint):
+                assert action(v).tobytes() == (w * v).tobytes()
+            assert p.apply(v.real).tobytes() == (w * v.real).tobytes()
+
+
 @pytest.mark.parametrize("param", all_params())
 def test_gram_inverse_is_double_inverse(param):
     x = random_hermitian(5, RNG, complex_field=True)

@@ -458,7 +458,7 @@ def test_concurrent_solves_on_one_pair_match_serial_runs(app):
         assert lists == lists_s
 
 
-ANDERSON_POINTS = 60
+ANDERSON_POINTS = 90
 
 
 def anderson_run(app, monkeypatch):
