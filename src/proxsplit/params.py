@@ -62,23 +62,21 @@ class Congruence:
         if not (np.all(diag > 0.0) or np.all(diag < 0.0)):
             raise ValueError("a congruence's grid holds one sign on its diagonal")
         g.flags.writeable = False
-        # numpy divides a complex array by a real grid as by ``grid + 0j``, which
-        # multiplies by ``1 / grid``: the product with this copy has the same bits,
-        # barring the sign of a zero part, in a third of the time. A float grid
-        # has none, and its actions take any shape
-        recip = (1.0 / g).astype(complex) if g.ndim else None
+        # a float grid's actions take any shape and need no complex forms
         self.__dict__.update(grid=g if g.ndim else float(g), sign=1 if diag.flat[0] > 0 else -1,
-                             _recip=recip)
+                             _is_array=g.ndim == 2)
 
     @cached_property
-    def _grid_c(self):
-        """The array grid as complex, made on the first complex ``apply``.
+    def _complex_forms(self):
+        """The array grid and its reciprocal as complex, made on the first complex action.
 
-        numpy multiplies a complex array by a real grid as by ``grid + 0j``, so
-        the product with this copy has the same bits in two thirds of the time.
-        Real iterates never make it, nor send it to a worker process.
+        numpy multiplies a complex array by a real grid as by ``grid + 0j``, and
+        divides by it as by multiplying with ``1 / grid``, so the products with
+        these copies have the bits of the real product and quotient, barring the
+        sign of a zero part, in two thirds and a third of the time. Real iterates
+        never make them, nor send them to a worker process.
         """
-        return self.grid.astype(complex)
+        return self.grid.astype(complex), (1.0 / self.grid).astype(complex)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -91,14 +89,14 @@ class Congruence:
 
     def _check(self, v):
         v = np.asarray(v)
-        if self._recip is not None and v.shape != self.grid.shape:
+        if self._is_array and v.shape != self.grid.shape:
             raise ValueError(f"expected matrix of shape {self.grid.shape}, got {v.shape}")
         return v
 
     def apply(self, v):
         v = self._check(v)
-        if self._recip is not None and v.dtype.kind == "c":
-            return self._grid_c * v
+        if self._is_array and v.dtype.kind == "c":
+            return self._complex_forms[0] * v
         return self.grid * v
 
     def adjoint(self, v):
@@ -106,8 +104,8 @@ class Congruence:
 
     def inverse(self, v):
         v = self._check(v)
-        if self._recip is not None and v.dtype.kind == "c":
-            return v * self._recip
+        if self._is_array and v.dtype.kind == "c":
+            return v * self._complex_forms[1]
         # a real quotient is not the product with a rounded reciprocal
         return v / self.grid
 

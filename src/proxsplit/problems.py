@@ -30,7 +30,6 @@ class BqpInstance:
     a: np.ndarray
     b: np.ndarray
     g_f: np.ndarray
-    shape: BlockShape
     seed: int
     sigma_a: float
     sigma_b: float
@@ -42,6 +41,10 @@ class BqpInstance:
     @property
     def k(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def shape(self) -> BlockShape:
+        return BlockShape(self.n, 1)
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,7 @@ def gen_bqp(n: int, k: int, sigma_a: float, sigma_b: float, seed: int) -> BqpIns
         g_f = bqp_objective(a, b)
     for key, arr in (("a", a), ("b", b), ("g_f", g_f)):
         _check_finite(key, arr)
-    return BqpInstance(a=a, b=b, g_f=g_f, shape=BlockShape(n, 1),
-                       seed=seed, sigma_a=sigma_a, sigma_b=sigma_b)
+    return BqpInstance(a=a, b=b, g_f=g_f, seed=seed, sigma_a=sigma_a, sigma_b=sigma_b)
 
 
 def _min_circular_gap(taus: np.ndarray) -> float:
@@ -368,8 +370,7 @@ def load_instance(path):
     if doc["kind"] == "bqp":
         a, b = _checked_array(doc, "a", (k, n)), _checked_array(doc, "b", (k,))
         _check_derived("g_f", g_f, lambda: bqp_objective(a, b))
-        return BqpInstance(a=a, b=b, g_f=g_f, shape=BlockShape(n, 1), seed=seed,
-                           sigma_a=_checked_number(doc, "sigma_a"),
+        return BqpInstance(a=a, b=b, g_f=g_f, seed=seed, sigma_a=_checked_number(doc, "sigma_a"),
                            sigma_b=_checked_number(doc, "sigma_b"))
     if doc["kind"] == "sr":
         obs_frac = _checked_number(doc, "obs_frac", 1.0)

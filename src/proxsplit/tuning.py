@@ -75,14 +75,13 @@ def optimal_scalar(pair: SolutionPair) -> float:
 
 
 def optimal_diagonal(pair: SolutionPair, d_max: float = 1e8) -> np.ndarray:
-    """Best per-coordinate energies: dual-over-primal magnitude ratios.
+    """Best per-coordinate energies: dual-over-primal modulus ratios.
 
     Zero primal coordinates get ``d_max``; zero dual coordinates get the
     mirrored floor ``1/d_max``; coordinates where both vanish are arbitrary
     and get 1. Ratios are clipped into ``[1/d_max, d_max]``.
     """
-    x = np.abs(np.asarray(pair.x_star, dtype=float))
-    lam = np.abs(np.asarray(pair.lam_star, dtype=float))
+    x, lam = (np.abs(v).astype(float) for v in (pair.x_star, pair.lam_star))
     d = np.ones_like(x)
     both = (x == 0) & (lam == 0)
     zero_x = (x == 0) & ~both

@@ -143,9 +143,14 @@ def test_sweep_names_its_capped_cells_and_exits_2(tmp_path, capsys):
                                                          ["1.0", "1.0", "2190"]]
 
 
-@pytest.mark.parametrize("command", ["sweep", "protocol"])
-def test_sweep_worker_count_does_not_change_output(tmp_path, capsys, command):
-    args = [command, *BQP_SMALL]
+@pytest.mark.parametrize("command, small", [
+    pytest.param("sweep", BQP_SMALL, id="sweep"),
+    pytest.param("protocol", BQP_SMALL, id="protocol"),
+    # SR's iterates keep many positive eigenvalues, so the plans in forked workers
+    # take divide and conquer
+    pytest.param("protocol", SR_SMALL, id="protocol-sr")])
+def test_sweep_worker_count_does_not_change_output(tmp_path, capsys, command, small):
+    args = [command, *small]
     if command == "sweep":
         args += ["--alpha-grid", "0.3:3:3", "--beta-grid", "0.5,2"]
     out1, out2 = tmp_path / "serial", tmp_path / "pool"
@@ -479,18 +484,19 @@ def test_gen_matches_in_process_generators(tmp_path, capsys):
 
 
 def test_run_on_saved_instance(tmp_path, capsys):
-    inst_path = tmp_path / "inst.json"
-    assert main(["gen", *BQP_SMALL, "--out", str(inst_path)]) == 0
-    out_file = tmp_path / "file_run"
-    assert main(["run", "--app", "bqp", "--instance", str(inst_path),
-                 "--param-mode", "estimate", "--out", str(out_file)]) == 0
-    out_fresh = tmp_path / "fresh_run"
-    assert main(["run", *BQP_SMALL, "--param-mode", "estimate",
-                 "--out", str(out_fresh)]) == 0
-    assert drop_timing(out_file / "trace.csv") == drop_timing(out_fresh / "trace.csv")
-    # run and protocol report the seed the file holds, not the --seed default of 0
-    assert json.loads((out_file / "summary.json").read_text())["seed"] == 5
+    for small in (BQP_SMALL, SR_SMALL):
+        app = small[1]
+        inst_path = tmp_path / f"{app}.json"
+        out_file, out_fresh = tmp_path / f"{app}_file", tmp_path / f"{app}_fresh"
+        assert main(["gen", *small, "--out", str(inst_path)]) == 0
+        assert main(["run", "--app", app, "--instance", str(inst_path),
+                     "--param-mode", "estimate", "--out", str(out_file)]) == 0
+        assert main(["run", *small, "--param-mode", "estimate", "--out", str(out_fresh)]) == 0
+        assert drop_timing(out_file / "trace.csv") == drop_timing(out_fresh / "trace.csv")
+        # run and protocol report the seed the file holds, not the --seed default of 0
+        assert json.loads((out_file / "summary.json").read_text())["seed"] == 5
     capsys.readouterr()
+    inst_path = tmp_path / "bqp.json"
     assert main(["protocol", "--app", "bqp", "--instance", str(inst_path),
                  "--out", str(tmp_path / "protocol")]) == 0
     assert "seed=5)" in capsys.readouterr().out
@@ -625,6 +631,14 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfapp = sr\nn = 12\n")
     cfg = resolve_config(build_parser().parse_args(["gen", "--config", str(path)]))
     assert (cfg.app, cfg.n) == ("sr", 12)
+    # a run that stops on the optimality residual alone, and audits its trace
+    path.write_bytes(b"\xef\xbb\xbfmse_eps = off\nopt_eps = 1e-8\n")
+    out = tmp_path / "run"
+    assert main(["run", *BQP_SMALL, "--config", str(path), "--param-mode", "identity",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["mse_eps"], summary["opt_eps"]) == (None, 1e-8)
+    assert summary["stop_reason"] == "opt_eps" and summary["rate_check"]["ok"] is True
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "protocol"])

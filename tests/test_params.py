@@ -13,6 +13,8 @@ from proxsplit.params import (
     SdpHadamard,
     definiteness_invariant_check,
 )
+from proxsplit.problems import build_prox_pair, gen_bqp
+from proxsplit.splitting import StopRule, run_drs
 
 RNG = np.random.default_rng(88)
 
@@ -111,6 +113,17 @@ def test_sdp_hadamard_apply_is_bitwise_the_real_grid_product():
             for action in (p.apply, p.adjoint):
                 assert action(v).tobytes() == (w * v).tobytes()
             assert p.apply(v.real).tobytes() == (w * v.real).tobytes()
+
+
+def test_a_real_solve_makes_no_complex_form_of_its_parameter():
+    # a sweep sends each cell's parameter to a worker process, with whatever it has made
+    pair = build_prox_pair(gen_bqp(6, 8, 0.05, 1.0, 5))
+    p = SdpHadamard(0.7, 2.0, BlockShape(6, 1))
+    run_drs(pair, p, pair.zeros(), StopRule(max_iters=20, opt_eps=None))
+    assert "_complex_forms" not in vars(p)
+    size = len(pickle.dumps(p))
+    p.inverse(p.apply(pair.zeros().astype(complex)))
+    assert "_complex_forms" in vars(p) and len(pickle.dumps(p)) > 2 * size
 
 
 @pytest.mark.parametrize("param", all_params())

@@ -106,6 +106,19 @@ def test_optimal_diagonal_minimizes_each_coordinate():
         assert f_i <= per_coord.min() * (1 + 1e-12)
 
 
+def test_optimal_diagonal_takes_complex_moduli(recwarn):
+    # the ratios of the moduli, [sqrt(2), 1], not of the real parts
+    x = np.array([1 + 1j, -3 + 4j])
+    lam = np.array([2, 5j])
+    d = optimal_diagonal(SolutionPair(x, lam))
+    assert not recwarn.list
+    grid = np.logspace(-8, 8, 4001)
+    for i in range(2):
+        per_coord = grid * abs(x[i]) ** 2 + abs(lam[i]) ** 2 / grid
+        f_i = d[i] * abs(x[i]) ** 2 + abs(lam[i]) ** 2 / d[i]
+        assert f_i <= per_coord.min() * (1 + 1e-12)
+
+
 def test_optimal_diagonal_degenerate_conventions():
     x = np.array([0.0, 0.0, 2.0, 1e-12])
     lam = np.array([0.0, 3.0, 0.0, 1.0])
